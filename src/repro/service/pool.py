@@ -93,7 +93,11 @@ class WorkerCrashError(RuntimeError):
 # worker process side
 # ----------------------------------------------------------------------
 def _pool_worker_main(  # pragma: no cover - runs in worker processes
-    conn: Any, scenes: dict[str, AnyStructure], config: dict[str, Any], generation: int
+    conn: Any,
+    scenes: dict[str, AnyStructure],
+    config: dict[str, Any],
+    generation: int,
+    num_workers: int,
 ) -> None:
     """Entry point of one worker process.
 
@@ -106,8 +110,11 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     evaluates itself.  ``generation`` counts respawns of this worker slot
     — generation-scoped crash faults compare against it so a plan can
     crash incarnation 0 and let incarnation 1 serve the retry.
+    ``num_workers`` is the pool's size: the worker's VCG probes fan out
+    over its share of the host's cores.
     """
     import repro.engine.highs  # noqa: F401 - registers its fork-reset hook
+    import repro.mechanism.vcg as vcg  # registers its fork-reset hook
     from repro.service.faults import legacy_crash_fires
     from repro.service.service import AuctionService
     from repro.util.mp import run_fork_resets
@@ -117,8 +124,10 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     # warm-start key); warm-starting against a model loaded in another
     # process's life would be wrong, so every registered thread-local is
     # reset before the first solve — and the HiGHS hook is *required*:
-    # a missing registration fails here, at spawn, not as a wrong solve
-    run_fork_resets(require=("repro.engine.highs",))
+    # a missing registration fails here, at spawn, not as a wrong solve;
+    # so is the VCG one: a forked executor has no threads behind it
+    run_fork_resets(require=("repro.engine.highs", "repro.mechanism.vcg"))
+    vcg._share_cores(num_workers)
     plan = config.get("fault_plan")
     if plan is not None and plan.fires("pool.worker.spawn", generation=generation):
         os._exit(4)  # injected spawn failure: die before serving anything
@@ -326,7 +335,13 @@ class ProcessShardPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, scenes, self.worker_config, handle.generation),
+            args=(
+                child_conn,
+                scenes,
+                self.worker_config,
+                handle.generation,
+                self.num_workers,
+            ),
             name=f"auction-pool-worker-{handle.index}",
             daemon=True,
         )

@@ -115,3 +115,17 @@ def test_scene_fingerprint_does_not_mutate_shared_structure():
     sorted_structure = _unsorted_structure()
     sorted_structure.graph.csr.sort_indices()
     assert scene_fingerprint(sorted_structure) == fp
+
+
+def test_vcg_reset_drops_inherited_probe_threads():
+    from repro.mechanism import vcg
+
+    inherited = vcg._PROBE_THREADS
+    executor = inherited.executor(1)  # as if the parent had fanned probes out
+    try:
+        ran = run_fork_resets(require=("repro.mechanism.vcg",))
+        assert "repro.mechanism.vcg" in ran
+        assert vcg._PROBE_THREADS is not inherited
+        assert vcg._PROBE_THREADS._executor is None
+    finally:
+        executor.shutdown()
