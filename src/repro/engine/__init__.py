@@ -9,7 +9,7 @@ Three layers (see DESIGN.md for the architecture):
   ``attempts × n`` bundle choices as one RNG matrix and resolving conflicts
   with mask operations (bit-equal to Algorithms 1/2 run in a loop);
 * :mod:`repro.engine.batch` — :class:`BatchAuctionEngine`: fan a list of
-  problems across a serial/thread/process executor with deterministic
+  problems across a serial or thread executor with deterministic
   per-instance seed spawning.
 
 :class:`~repro.core.solver.SpectrumAuctionSolver` is a thin facade over

@@ -3,8 +3,8 @@
 :class:`BatchAuctionEngine` accepts a list (or generator) of
 :class:`~repro.core.auction.AuctionProblem`\\ s — or zero-argument callables
 producing them — compiles each distinct problem once (structures shared via
-the keyed cache), dispatches across a serial loop, a thread pool, or a
-process pool, and returns per-instance :class:`SolverResult`\\ s plus
+the keyed cache), dispatches across a serial loop or a thread pool, and
+returns per-instance :class:`SolverResult`\\ s plus
 aggregate stats.
 
 Determinism: one root :class:`numpy.random.SeedSequence` is spawned into
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,12 +30,11 @@ from repro.core.auction import AuctionProblem
 from repro.core.result import SolverResult
 from repro.engine.compiled import CompiledAuction, compile_auction, compile_structure
 from repro.util.lru import LRUCache
-from repro.util.mp import mp_context
 from repro.util.rng import SeedLike
 
 __all__ = ["BatchAuctionEngine", "BatchResult"]
 
-_EXECUTORS = ("auto", "serial", "thread", "process")
+_EXECUTORS = ("auto", "serial", "thread")
 
 
 @dataclass
@@ -80,16 +79,6 @@ def _materialize(
     return out
 
 
-def _solve_group(
-    problem: AuctionProblem,
-    seeds: list[np.random.SeedSequence],
-    solve_kwargs: dict[str, Any],
-) -> list[SolverResult]:
-    """Process-pool worker: one compiled instance, many seeds."""
-    compiled = compile_auction(problem)
-    return [compiled.solve(seed=seed, **solve_kwargs) for seed in seeds]
-
-
 class BatchAuctionEngine:
     """Compile-once/solve-many driver for fleets of auction problems."""
 
@@ -104,7 +93,6 @@ class BatchAuctionEngine:
         lp_warm_start: bool = False,
         structure_cache: LRUCache | None = None,
         auction_cache: LRUCache | None = None,
-        mp_start_method: str = "auto",
     ) -> None:
         """``lp_warm_start=True`` lets instances sharing a compiled structure
         (and bundle pattern) re-solve the LP by mutating the loaded HiGHS
@@ -118,9 +106,8 @@ class BatchAuctionEngine:
         layers (``None`` keeps the process-wide defaults); the auction
         service uses this to bound and account its caches per service.
 
-        ``mp_start_method`` controls how ``executor="process"`` workers
-        start (``"auto"`` resolves via :mod:`repro.util.mp` — forkserver
-        where available, never bare fork from a threaded parent).
+        Process-level fan-out is the service's job
+        (:class:`~repro.service.pool.ProcessShardPool`), not the engine's.
         """
         if executor not in _EXECUTORS:
             raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
@@ -134,7 +121,6 @@ class BatchAuctionEngine:
         self.max_workers = max_workers
         self.structure_cache = structure_cache
         self.auction_cache = auction_cache
-        self.mp_start_method = mp_start_method
 
     # ------------------------------------------------------------------
     def _resolve_executor(self, n_tasks: int) -> tuple[str, int]:
@@ -204,31 +190,24 @@ class BatchAuctionEngine:
         seeds = np.random.SeedSequence(seed).spawn(len(instances)) if instances else []
         executor, workers = self._resolve_executor(len(instances))
 
-        if executor == "process":
-            results = self._run_process(instances, seeds, workers)
-            # each worker group compiles its problem fresh and solves its LP once
-            lp_solves = len({id(p) for p in instances})
-        else:
-            compiled = self.compile(instances)
-            solves_before = sum(ca.lp_solve_count for ca in compiled.values())
-            tasks = [
-                (compiled[id(problem)], child) for problem, child in zip(instances, seeds)
-            ]
-            if executor == "thread":
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda task: task[0].solve(seed=task[1], **self.solve_kwargs),
-                            tasks,
-                        )
+        compiled = self.compile(instances)
+        solves_before = sum(ca.lp_solve_count for ca in compiled.values())
+        tasks = [
+            (compiled[id(problem)], child) for problem, child in zip(instances, seeds)
+        ]
+        if executor == "thread":
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(
+                        lambda task: task[0].solve(seed=task[1], **self.solve_kwargs),
+                        tasks,
                     )
-            else:
-                results = self.solve_compiled(tasks)
-            # only LP solves performed by *this* batch (compiled instances may
-            # arrive from the global cache with their LP already solved)
-            lp_solves = (
-                sum(ca.lp_solve_count for ca in compiled.values()) - solves_before
-            )
+                )
+        else:
+            results = self.solve_compiled(tasks)
+        # only LP solves performed by *this* batch (compiled instances may
+        # arrive from the global cache with their LP already solved)
+        lp_solves = sum(ca.lp_solve_count for ca in compiled.values()) - solves_before
         batch = BatchResult(
             results=results,
             wall_time=time.perf_counter() - start,
@@ -247,29 +226,3 @@ class BatchAuctionEngine:
             "executor": batch.executor,
         }
         return batch
-
-    # ------------------------------------------------------------------
-    def _run_process(
-        self,
-        instances: list[AuctionProblem],
-        seeds: list[np.random.SeedSequence],
-        workers: int,
-    ) -> list[SolverResult]:
-        """Group instances by problem identity so each worker compiles once."""
-        groups: dict[int, tuple[AuctionProblem, list[int], list[np.random.SeedSequence]]] = {}
-        for i, (problem, child) in enumerate(zip(instances, seeds)):
-            entry = groups.setdefault(id(problem), (problem, [], []))
-            entry[1].append(i)
-            entry[2].append(child)
-        results: list[SolverResult | None] = [None] * len(instances)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context(self.mp_start_method)
-        ) as pool:
-            futures = [
-                (indices, pool.submit(_solve_group, problem, children, self.solve_kwargs))
-                for problem, indices, children in groups.values()
-            ]
-            for indices, future in futures:
-                for i, result in zip(indices, future.result()):
-                    results[i] = result
-        return results  # type: ignore[return-value]

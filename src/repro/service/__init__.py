@@ -23,12 +23,12 @@ chaos", and "The serving edge"):
 * :mod:`repro.service.gateway` — :class:`AuctionGateway`, the
   stdlib-asyncio HTTP/1.1 front-end serving the wire schema over
   localhost sockets (plus :class:`GatewayServer`, its sync wrapper);
-* :mod:`repro.service.client` — :class:`GatewayClient` (asyncio,
-  pooled keep-alive connections, typed-error reconstruction,
-  :class:`RetryPolicy` retries + hedging), :class:`ReplicaSet`
-  (multi-replica failover with probe-driven eviction), and their sync
-  facades :class:`SyncGatewayClient` / :class:`SyncReplicaClient`
-  (future-based ``submit``, mirroring the in-process service);
+* :mod:`repro.service.client` — :class:`GatewayClient` (asyncio, one
+  or more gateway endpoints, pooled keep-alive connections,
+  typed-error reconstruction, one :class:`RetryPolicy` attempt budget
+  per request across endpoints, hedging, probe-driven eviction) and
+  its sync facade :class:`SyncGatewayClient` (future-based ``submit``,
+  mirroring the in-process service);
 * :mod:`repro.service.traffic` — open-loop Poisson/burst/replay traffic
   over the metro workload family;
 * :mod:`repro.service.metrics` — throughput, latency percentiles, cache
@@ -43,13 +43,7 @@ chaos", and "The serving edge"):
 """
 
 from repro.service.chaos import ChaosReport, run_matrix, run_scenario
-from repro.service.client import (
-    GatewayClient,
-    ReplicaSet,
-    RetryPolicy,
-    SyncGatewayClient,
-    SyncReplicaClient,
-)
+from repro.service.client import GatewayClient, RetryPolicy, SyncGatewayClient
 from repro.service.errors import (
     DeadlineExceeded,
     InjectedFaultError,
@@ -104,9 +98,7 @@ __all__ = [
     "GatewayServer",
     "GatewayClient",
     "RetryPolicy",
-    "ReplicaSet",
     "SyncGatewayClient",
-    "SyncReplicaClient",
     "ProcessShardPool",
     "WorkerCrashError",
     "SceneRegistry",

@@ -1,47 +1,31 @@
-"""Clients for the auction gateway (wire schema over HTTP/1.1).
+"""The client for the auction gateway (wire schema over HTTP/1.1).
 
-:class:`GatewayClient` is the asyncio client: a keep-alive connection
-pool over :func:`asyncio.open_connection`, one coroutine per in-flight
-request, decoding success payloads to
-:class:`~repro.service.wire.AuctionResponse` and error payloads back to
-the *typed exception* the in-process API would have raised
-(:func:`~repro.service.wire.error_from_wire`) — so ``try/except
-ShedError`` works identically whether the service is local or across
-the network.
+:class:`GatewayClient` is the asyncio client over one or more gateway
+endpoints (a single endpoint is simply a set of one): a keep-alive
+connection pool per endpoint, one coroutine per in-flight request,
+decoding success payloads to :class:`~repro.service.wire.AuctionResponse`
+and error payloads back to the *typed exception* the in-process API
+would have raised (:func:`~repro.service.wire.error_from_wire`) — so
+``try/except ShedError`` works identically whether the service is local
+or across the network.
 
-**Resilience** (DESIGN.md → "Resilient edge"):
+**Resilience** (DESIGN.md → "Resilient edge"): each request runs *one*
+attempt loop.  Attempt ordinals run 1..``max_attempts`` of its
+:class:`RetryPolicy` across all endpoints, each stamped
+``X-Auction-Attempt`` (so keyed fault draws are per-attempt) and
+carrying the request's idempotency key (so a retry replays from the
+gateway journal instead of re-solving).  A failover is just the next
+attempt going to another endpoint; retries back off with deterministic
+seeded jitter; ``hedge=True`` races a second attempt against a primary
+slower than the observed p99.  Only transport errors count against an
+endpoint's circuit breaker, the last live endpoint is never evicted,
+and a single-endpoint client sends no health probes.
 
-* :class:`RetryPolicy` — bounded retries with exponential backoff and
-  *deterministic seeded jitter* (drawn from the request's idempotency
-  key, so two replays of a trace sleep identically).  Retryable
-  failures are transport errors (``OSError``/``EOFError``: resets,
-  refused connections, truncated responses) and the retryable 5xx set
-  ``{500, 502, 503}``; 400/404 are the caller's bug and 504 means the
-  deadline is spent either way — retrying any of them cannot help.
-  The default policy makes **zero** retries (``max_attempts=1``):
-  resilience is opt-in per client, never ambient.
-* **Hedging** — with ``hedge=True``, a solve that outlives the client's
-  observed p99 launches a second attempt and the first response wins
-  (loser cancelled).  Both attempts carry the same idempotency key, so
-  the gateway coalesces them onto one solve — hedging trades a little
-  duplicate *traffic* for tail latency, never duplicate *work*.
-* Every attempt is stamped ``X-Auction-Attempt`` (1-based) so the
-  gateway's keyed fault draws are per-attempt, and carries the
-  request's idempotency key so a retried request replays from the
-  gateway journal instead of re-solving.
-* :class:`ReplicaSet` — the same solve API over N gateway endpoints,
-  with probe-driven eviction after ``failure_threshold`` consecutive
-  failures and half-open re-admission after ``cooldown`` (mirroring the
-  worker pool's circuit-breaker semantics).  Failover happens on
-  *transport* errors only: a typed wire error came from a live replica
-  and resending it elsewhere would just duplicate load.
-
-:class:`SyncGatewayClient` / :class:`SyncReplicaClient` wrap the async
-clients for synchronous callers by running an event loop on a daemon
-thread; ``submit`` mirrors :meth:`AuctionService.submit`'s future-based
-contract (``submit(request) -> concurrent.futures.Future``), which is
-what lets the chaos harness and the open-loop benchmark drive a gateway
-exactly like an in-process service.
+:class:`SyncGatewayClient` runs a :class:`GatewayClient` on a daemon
+event-loop thread; its ``submit`` mirrors :meth:`AuctionService.submit`
+(``submit(request) -> concurrent.futures.Future``), which is what lets
+the chaos harness and the open-loop benchmark drive a gateway exactly
+like an in-process service.
 """
 
 from __future__ import annotations
@@ -52,9 +36,10 @@ import json
 import threading
 import time
 from collections import deque
+from collections.abc import Coroutine, Sequence
 from concurrent.futures import Future
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
@@ -71,23 +56,23 @@ if TYPE_CHECKING:
     from repro.service.faults import FaultPlan
     from repro.service.wire import AuctionRequest
 
-__all__ = [
-    "GatewayClient",
-    "ReplicaSet",
-    "RetryPolicy",
-    "SyncGatewayClient",
-    "SyncReplicaClient",
-]
+__all__ = ["GatewayClient", "RetryPolicy", "SyncGatewayClient"]
 
 _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+_T = TypeVar("_T")
 
 # failures of the transport itself, as opposed to typed wire errors:
-# always retryable, and the only failures a ReplicaSet fails over on.
+# always retryable, and the only failures an endpoint's breaker counts.
 # (TimeoutError ⊂ OSError, ConnectionError ⊂ OSError,
-# IncompleteReadError ⊂ EOFError.)
-_TRANSPORT_ERRORS = (OSError, EOFError)
+# IncompleteReadError ⊂ EOFError; asyncio.TimeoutError is TimeoutError
+# from 3.11 and listed for 3.10.)
+_TRANSPORT_ERRORS = (OSError, EOFError, asyncio.TimeoutError)
 
 _TOKEN_MASK = (1 << 63) - 1
+
+# seconds a background /v1/health probe may take before it counts as a
+# failure against its endpoint
+_PROBE_TIMEOUT = 1.0
 
 
 def _jitter_token(key: str) -> int:
@@ -115,7 +100,11 @@ class RetryPolicy:
     """How a client retries, backs off, and hedges one solve.
 
     ``max_attempts`` counts the first try (``1`` means no retries — the
-    default, so resilience is always opt-in).  Backoff before retry
+    default, so resilience is always opt-in).  Retryable failures are
+    transport errors (resets, refused connections, truncated responses,
+    an attempt outliving the client's ``request_timeout``) and
+    ``retryable_statuses``; 400/404 are the caller's bug and 504 means
+    the deadline is spent either way.  Backoff before retry
     *i* is ``min(cap, base · factor^(i-1))`` scaled down by up to
     ``jitter`` (a fraction in [0, 1]) using a draw seeded from the
     request's idempotency key — deterministic per request and per retry,
@@ -164,14 +153,33 @@ class RetryPolicy:
         return base * (1.0 - self.jitter * fraction)
 
 
-class GatewayClient:
-    """Asyncio client for one gateway endpoint, pooling keep-alive
-    connections up to ``max_connections`` (back-pressure beyond that is a
-    semaphore wait, not a connect storm).
+@dataclass(eq=False)
+class _Endpoint:
+    """One gateway address: its keep-alive pool and its breaker state."""
 
-    ``retry`` arms a :class:`RetryPolicy` for ``solve`` (default: none);
-    ``fault_plan`` arms ``client.connect`` injection sites for chaos
-    runs.  ``stats()`` surfaces attempt/retry/hedge counters.
+    host: str
+    port: int
+    gate: asyncio.Semaphore
+    idle: list[_Connection] = field(default_factory=list)
+    live: bool = True
+    failures: int = 0
+    down_since: float = 0.0
+    inflight: int = 0
+
+
+class GatewayClient:
+    """Asyncio client over 1..N gateway endpoints.
+
+    ``endpoints`` (``(host, port)`` pairs) replaces the single address.
+    Each endpoint pools up to ``max_connections`` keep-alive connections
+    (back-pressure beyond that is a semaphore wait, not a connect storm).
+    ``retry`` arms a :class:`RetryPolicy` for ``solve``; ``fault_plan``
+    arms the ``client.connect`` fault sites.  ``request_timeout`` bounds
+    every exchange, so an endpoint that dies with connections open fails
+    an attempt instead of hanging it.  An endpoint is evicted after
+    ``failure_threshold`` transport errors in a row and re-probed every
+    ``probe_interval`` once ``cooldown`` has passed.  ``stats()`` is a
+    flat counter dict; ``endpoints()`` is the per-endpoint state.
     """
 
     def __init__(
@@ -180,16 +188,28 @@ class GatewayClient:
         port: int = 8080,
         max_connections: int = 128,
         *,
+        endpoints: Sequence[tuple[str, int]] | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
+        probe_interval: float = 0.1,
+        failure_threshold: int = 3,
+        cooldown: float = 0.5,
+        request_timeout: float = 60.0,
     ) -> None:
-        self.host = host
-        self.port = port
+        addresses = [(host, port)] if endpoints is None else list(endpoints)
+        if not addresses:
+            raise ValueError("GatewayClient needs at least one endpoint")
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
-        self._idle: list[_Connection] = []
-        self._gate = asyncio.Semaphore(max_connections)
+        self.probe_interval = probe_interval
+        self.failure_threshold = failure_threshold
+        self.cooldown = cooldown
+        self.request_timeout = request_timeout
+        self._endpoints = [
+            _Endpoint(h, p, asyncio.Semaphore(max_connections)) for h, p in addresses
+        ]
         self._closed = False
+        self._probe_task: asyncio.Task[None] | None = None
         self._latency_window: deque[float] = deque(maxlen=512)
         self._stats: dict[str, int] = {
             "attempts": 0,
@@ -197,17 +217,34 @@ class GatewayClient:
             "hedges_launched": 0,
             "hedges_won": 0,
             "connect_faults": 0,
+            "failovers": 0,
+            "evictions": 0,
+            "readmissions": 0,
+            "probe_failures": 0,
         }
 
     def stats(self) -> dict[str, int]:
-        """Attempt/retry/hedge/fault counters since construction."""
+        """Attempt/retry/hedge/fault/failover counters since construction."""
         return dict(self._stats)
+
+    def endpoints(self) -> list[dict[str, Any]]:
+        """Per-endpoint breaker state, in construction order."""
+        return [
+            {
+                "endpoint": f"{ep.host}:{ep.port}",
+                "live": ep.live,
+                "failures": ep.failures,
+                "inflight": ep.inflight,
+            }
+            for ep in self._endpoints
+        ]
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
     async def _exchange(
         self,
+        ep: _Endpoint,
         method: str,
         path: str,
         body: dict[str, Any] | None = None,
@@ -222,14 +259,14 @@ class GatewayClient:
         )
         request = (
             f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
+            f"Host: {ep.host}:{ep.port}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"{extra}"
             "\r\n"
         ).encode("latin-1") + payload
-        async with self._gate:
-            reader, writer = await self._checkout()
+        async with ep.gate:
+            reader, writer = await self._checkout(ep)
             try:
                 writer.write(request)
                 await writer.drain()
@@ -237,22 +274,22 @@ class GatewayClient:
             except BaseException:
                 writer.close()  # a half-used connection cannot be pooled
                 raise
-            self._checkin((reader, writer))
+            self._checkin(ep, (reader, writer))
         return status, response
 
-    async def _checkout(self) -> _Connection:
-        while self._idle:
-            reader, writer = self._idle.pop()
+    async def _checkout(self, ep: _Endpoint) -> _Connection:
+        while ep.idle:
+            reader, writer = ep.idle.pop()
             if not writer.is_closing():
                 return reader, writer
             writer.close()
-        return await asyncio.open_connection(self.host, self.port)
+        return await asyncio.open_connection(ep.host, ep.port)
 
-    def _checkin(self, conn: _Connection) -> None:
+    def _checkin(self, ep: _Endpoint, conn: _Connection) -> None:
         if self._closed or conn[1].is_closing():
             conn[1].close()
         else:
-            self._idle.append(conn)
+            ep.idle.append(conn)
 
     async def _read_response(
         self, reader: asyncio.StreamReader
@@ -277,43 +314,157 @@ class GatewayClient:
             raise error_from_wire(payload)
         return payload
 
+    async def _guarded(self, ep: _Endpoint, exchange: Coroutine[Any, Any, _T]) -> _T:
+        """Run one exchange on ``ep`` under ``request_timeout``.
+
+        A transport failure counts against ``ep``'s breaker; any HTTP
+        answer (typed errors included) resets it.
+        """
+        ep.inflight += 1
+        try:
+            result = await asyncio.wait_for(exchange, self.request_timeout)
+        except _TRANSPORT_ERRORS:
+            self._mark_failure(ep)
+            raise
+        finally:
+            ep.inflight -= 1
+        self._mark_healthy(ep)
+        return result
+
+    # ------------------------------------------------------------------
+    # endpoint health
+    # ------------------------------------------------------------------
+    def _pick(self, tried: set[_Endpoint]) -> _Endpoint:
+        """The least-in-flight live endpoint (first on ties), preferring
+        untried ones."""
+        live = [ep for ep in self._endpoints if ep.live]
+        pool = [ep for ep in live if ep not in tried] or live
+        return min(pool, key=lambda ep: ep.inflight)
+
+    def _mark_healthy(self, ep: _Endpoint) -> None:
+        if not ep.live:
+            ep.live = True
+            self._stats["readmissions"] += 1
+        ep.failures = 0
+
+    def _mark_failure(self, ep: _Endpoint) -> None:
+        ep.failures += 1
+        if not ep.live:
+            ep.down_since = time.perf_counter()  # failed half-open: re-cool
+        elif ep.failures >= self.failure_threshold and any(
+            other.live for other in self._endpoints if other is not ep
+        ):
+            ep.live = False
+            ep.down_since = time.perf_counter()
+            self._stats["evictions"] += 1
+
+    async def _probe(self, ep: _Endpoint) -> bool:
+        try:
+            status, _payload = await asyncio.wait_for(
+                self._exchange(ep, "GET", "/v1/health"), _PROBE_TIMEOUT
+            )
+        except _TRANSPORT_ERRORS + (ValueError,):  # repro: allow[silent-except] -- an unreachable endpoint is the probe's finding, counted here
+            self._stats["probe_failures"] += 1
+            return False
+        return status == 200
+
+    def _arm_probes(self) -> None:
+        """Start the health-probe loop on first use, and only when there
+        is another endpoint to fail over to."""
+        if self._probe_task is None and len(self._endpoints) > 1:
+            self._probe_task = asyncio.ensure_future(self._probe_loop())
+
+    async def _probe_loop(self) -> None:
+        # bounded by _closed (flipped in close()), not an unbounded spin
+        while not self._closed:
+            await asyncio.sleep(self.probe_interval)
+            for ep in self._endpoints:
+                if self._closed:
+                    return
+                if not ep.live and time.perf_counter() - ep.down_since < self.cooldown:
+                    continue  # evicted and still cooling: no half-open yet
+                if await self._probe(ep):
+                    self._mark_healthy(ep)
+                else:
+                    self._mark_failure(ep)
+
     # ------------------------------------------------------------------
     # API
     # ------------------------------------------------------------------
     async def health(self) -> bool:
-        status, _payload = await self._exchange("GET", "/v1/health")
-        return status == 200
+        """True when any live endpoint answers ``/v1/health`` with 200."""
+        for ep in self._endpoints:
+            if ep.live and await self._probe(ep):
+                return True
+        return False
 
-    async def metrics(self) -> dict[str, Any]:
-        _status, payload = await self._exchange("GET", "/v1/metrics")
+    async def _call(
+        self, method: str, path: str, body: dict[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """One exchange on the least-loaded live endpoint; typed error on
+        an error payload."""
+        ep = self._pick(set())
+        _status, payload = await self._guarded(ep, self._exchange(ep, method, path, body))
         return self._raise_if_error(payload)
 
+    async def metrics(self) -> dict[str, Any]:
+        """One live endpoint's ``/v1/metrics`` snapshot."""
+        return await self._call("GET", "/v1/metrics")
+
     async def register_scene(self, structure: AnyStructure) -> str:
-        """Register a conflict structure; returns its fingerprint scene id."""
-        _status, payload = await self._exchange(
-            "POST", "/v1/scenes", {"structure": _structure_to_dict(structure)}
-        )
-        return str(self._raise_if_error(payload)["scene_id"])
+        """Register a conflict structure on every endpoint (each gateway
+        may back its own service); returns its fingerprint scene id,
+        which is content-derived and therefore identical everywhere."""
+        self._arm_probes()
+        body = {"structure": _structure_to_dict(structure)}
+        scene_id: str | None = None
+        failure: BaseException | None = None
+        for ep in self._endpoints:
+            try:
+                _status, payload = await self._guarded(
+                    ep, self._exchange(ep, "POST", "/v1/scenes", body)
+                )
+            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- endpoint down: its breaker counted it, the rest still register
+                failure = exc
+                continue
+            scene_id = str(self._raise_if_error(payload)["scene_id"])
+        if scene_id is None:
+            assert failure is not None
+            raise failure
+        return scene_id
 
     async def solve(self, request: AuctionRequest) -> AuctionResponse:
         """Solve one request under the retry policy; typed error on failure.
 
-        Every attempt resends the same idempotency key (derived from
-        the request when the envelope carries none), so a retry after a
-        lost response replays from the gateway journal instead of
-        re-solving.  A ``request.deadline`` travels as the
-        ``X-Auction-Deadline`` header and is enforced server-side by
-        the service's EWMA triage.
+        One attempt budget covers every endpoint: attempt *i* goes to
+        :meth:`_pick`'s endpoint, and a failover is the next attempt
+        landing somewhere else.  Every attempt resends the same
+        idempotency key (derived from the request when the envelope
+        carries none), so a retry after a lost response replays from the
+        gateway journal instead of re-solving.  A ``request.deadline``
+        travels as the ``X-Auction-Deadline`` header and is enforced
+        server-side by the service's EWMA triage.
         """
+        self._arm_probes()
         policy = self.retry
         key = request.idempotency_key or default_idempotency_key(request)
         token = _jitter_token(key)
+        tried: set[_Endpoint] = set()
+        previous: _Endpoint | None = None
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self._stats["retries"] += 1
                 await asyncio.sleep(policy.delay_before(attempt - 1, token))
+            ep = self._pick(tried)
+            if previous is not None and ep is not previous:
+                self._stats["failovers"] += 1
+            tried.add(ep)
+            previous = ep
+            delay = self._hedge_delay()
             try:
-                return await self._attempt_or_hedged(request, key, attempt, policy)
+                if delay is None:
+                    return await self._solve_attempt(request, key, attempt, ep)
+                return await self._hedged(request, key, attempt, ep, tried, delay)
             except _WireError as exc:
                 if (
                     attempt >= policy.max_attempts
@@ -325,18 +476,10 @@ class GatewayClient:
                     raise
         raise RuntimeError("unreachable: retry loop neither returned nor raised")
 
-    async def _attempt_or_hedged(
-        self, request: AuctionRequest, key: str, attempt: int, policy: RetryPolicy
-    ) -> AuctionResponse:
-        if policy.hedge:
-            delay = self._hedge_delay(policy)
-            if delay is not None:
-                return await self._hedged(request, key, attempt, policy, delay)
-        return await self._solve_attempt(request, key, attempt)
-
-    def _hedge_delay(self, policy: RetryPolicy) -> float | None:
-        """The p99-based hedge trigger, or ``None`` while under-sampled."""
-        if len(self._latency_window) < policy.hedge_after_samples:
+    def _hedge_delay(self) -> float | None:
+        """The p99-based hedge trigger, or ``None`` when not hedging."""
+        policy = self.retry
+        if not policy.hedge or len(self._latency_window) < policy.hedge_after_samples:
             return None
         ordered = sorted(self._latency_window)
         p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
@@ -347,24 +490,28 @@ class GatewayClient:
         request: AuctionRequest,
         key: str,
         attempt: int,
-        policy: RetryPolicy,
+        ep: _Endpoint,
+        tried: set[_Endpoint],
         delay: float,
     ) -> AuctionResponse:
         """Race a second attempt against a primary slower than ``delay``.
 
-        The hedge's attempt ordinal is offset by ``max_attempts`` so its
-        fault draws and backoff jitter never collide with a plain
-        retry's.  Same idempotency key on both: the gateway coalesces
-        them onto one solve.
+        The hedge goes to :meth:`_pick`'s endpoint (another one when
+        there is one) and its attempt ordinal is offset by
+        ``max_attempts`` so its fault draws and backoff jitter never
+        collide with a plain retry's.  Same idempotency key on both: the
+        gateway coalesces them onto one solve.
         """
-        primary = asyncio.ensure_future(self._solve_attempt(request, key, attempt))
+        primary = asyncio.ensure_future(self._solve_attempt(request, key, attempt, ep))
         try:
             return await asyncio.wait_for(asyncio.shield(primary), delay)
         except TimeoutError:  # repro: allow[silent-except] -- not a failure: the primary is slow, launch the hedge
             pass
         self._stats["hedges_launched"] += 1
         hedge = asyncio.ensure_future(
-            self._solve_attempt(request, key, policy.max_attempts + attempt)
+            self._solve_attempt(
+                request, key, self.retry.max_attempts + attempt, self._pick(tried)
+            )
         )
         pending: set[asyncio.Task[AuctionResponse]] = {primary, hedge}
         failure: BaseException | None = None
@@ -391,19 +538,24 @@ class GatewayClient:
                     task.exception()  # observed: a loser must not warn at GC
 
     async def _solve_attempt(
-        self, request: AuctionRequest, key: str, attempt: int
+        self, request: AuctionRequest, key: str, attempt: int, ep: _Endpoint
     ) -> AuctionResponse:
-        """One wire exchange, stamped with its attempt ordinal."""
+        """One wire exchange on ``ep``, stamped with its attempt ordinal."""
         self._stats["attempts"] += 1
-        await self._inject_connect_faults(request, attempt)
         headers = {"X-Auction-Attempt": str(attempt)}
         if request.deadline is not None:
             headers["X-Auction-Deadline"] = repr(request.deadline)
         wire = request_to_wire(request)
         wire["idempotency_key"] = key
-        started = time.perf_counter()
-        status, payload = await self._exchange("POST", "/v1/solve", wire, headers)
-        self._latency_window.append(time.perf_counter() - started)
+
+        async def exchange() -> tuple[int, dict[str, Any]]:
+            await self._inject_connect_faults(request, attempt)
+            started = time.perf_counter()
+            answer = await self._exchange(ep, "POST", "/v1/solve", wire, headers)
+            self._latency_window.append(time.perf_counter() - started)
+            return answer
+
+        status, payload = await self._guarded(ep, exchange())
         if payload.get("status") == "error":
             raise _WireError(status, error_from_wire(payload))
         return AuctionResponse.from_wire(payload)
@@ -428,27 +580,32 @@ class GatewayClient:
     async def solve_batch(
         self, requests: list[AuctionRequest]
     ) -> list[AuctionResponse | Exception]:
-        """Solve a batch in one exchange; per-item failures come back as
-        the typed exception *instances* in request order (mirroring how
-        the in-process API fails futures individually)."""
-        _status, payload = await self._exchange(
-            "POST",
-            "/v1/solve-batch",
-            {"requests": [request_to_wire(r) for r in requests]},
+        """Solve a batch in one exchange on one live endpoint; per-item
+        failures come back as the typed exception *instances* in request
+        order (mirroring how the in-process API fails futures
+        individually)."""
+        payload = await self._call(
+            "POST", "/v1/solve-batch", {"requests": [request_to_wire(r) for r in requests]}
         )
-        envelopes = self._raise_if_error(payload)["responses"]
         return [
             error_from_wire(item)
             if item.get("status") == "error"
             else AuctionResponse.from_wire(item)
-            for item in envelopes
+            for item in payload["responses"]
         ]
 
     async def close(self) -> None:
         self._closed = True
-        while self._idle:
-            _reader, writer = self._idle.pop()
-            writer.close()
+        task, self._probe_task = self._probe_task, None
+        if task is not None:
+            task.cancel()
+            await asyncio.wait({task})
+            if not task.cancelled():
+                task.result()  # a probe loop that died early surfaces here
+        for ep in self._endpoints:
+            while ep.idle:
+                _reader, writer = ep.idle.pop()
+                writer.close()
 
     async def __aenter__(self) -> "GatewayClient":
         return self
@@ -457,273 +614,34 @@ class GatewayClient:
         await self.close()
 
 
-class _Replica:
-    """One endpoint's client plus its health-tracking state."""
-
-    def __init__(self, client: GatewayClient, index: int) -> None:
-        self.client = client
-        self.index = index
-        self.live = True
-        self.failures = 0
-        self.down_since = 0.0
-        self.inflight = 0
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.client.host}:{self.client.port}"
-
-
-class ReplicaSet:
-    """The solve API over N gateway replicas with failover.
-
-    Requests go to the live replica with the fewest in-flight solves.
-    A replica accumulating ``failure_threshold`` consecutive transport
-    failures (from traffic or from the background health probe) is
-    evicted; after ``cooldown`` seconds the probe loop re-tries it
-    half-open and re-admits on success — the same breaker shape the
-    worker pool uses for crashed workers.  Failover re-sends only on
-    *transport* errors: a typed wire error (shed, deadline, bad
-    request) came from a live replica and is returned as-is.
-
-    ``request_timeout`` bounds every exchange: a replica that dies with
-    pooled keep-alive connections open would otherwise hang a request
-    forever instead of failing it over.
-    """
-
-    def __init__(
-        self,
-        endpoints: list[tuple[str, int]],
-        *,
-        max_connections: int = 128,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        probe_interval: float = 0.1,
-        probe_timeout: float = 1.0,
-        failure_threshold: int = 3,
-        cooldown: float = 0.5,
-        request_timeout: float = 60.0,
-    ) -> None:
-        if not endpoints:
-            raise ValueError("ReplicaSet needs at least one endpoint")
-        self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self.request_timeout = request_timeout
-        self._replicas = [
-            _Replica(
-                GatewayClient(
-                    host,
-                    port,
-                    max_connections,
-                    retry=retry,
-                    fault_plan=fault_plan,
-                ),
-                index,
-            )
-            for index, (host, port) in enumerate(endpoints)
-        ]
-        self._closed = False
-        self._probe_task: asyncio.Task[None] | None = None
-        self._stats: dict[str, int] = {
-            "failovers": 0,
-            "evictions": 0,
-            "readmissions": 0,
-            "probe_failures": 0,
-        }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> "ReplicaSet":
-        """Arm the background health-probe loop."""
-        if self._probe_task is None:
-            self._probe_task = asyncio.ensure_future(self._probe_loop())
-        return self
-
-    async def close(self) -> None:
-        self._closed = True
-        task = self._probe_task
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:  # repro: allow[silent-except] -- our own cancellation completing
-                pass
-            self._probe_task = None
-        for replica in self._replicas:
-            await replica.client.close()
-
-    async def __aenter__(self) -> "ReplicaSet":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # ------------------------------------------------------------------
-    # health probing
-    # ------------------------------------------------------------------
-    async def _probe_loop(self) -> None:
-        # bounded by _closed (flipped in close()), not an unbounded spin
-        while not self._closed:
-            await asyncio.sleep(self.probe_interval)
-            for replica in self._replicas:
-                if self._closed:
-                    return
-                if not replica.live and not self._cooled_down(replica):
-                    continue  # evicted and still cooling: no half-open yet
-                if await self._probe(replica):
-                    self._mark_healthy(replica)
-                else:
-                    self._mark_failure(replica)
-
-    def _cooled_down(self, replica: _Replica) -> bool:
-        return time.perf_counter() - replica.down_since >= self.cooldown
-
-    async def _probe(self, replica: _Replica) -> bool:
-        try:
-            return await asyncio.wait_for(
-                replica.client.health(), self.probe_timeout
-            )
-        except _TRANSPORT_ERRORS + (ValueError,):  # repro: allow[silent-except] -- an unreachable replica is the probe's finding, counted below
-            self._stats["probe_failures"] += 1
-            return False
-
-    def _mark_healthy(self, replica: _Replica) -> None:
-        if not replica.live:
-            replica.live = True
-            self._stats["readmissions"] += 1
-        replica.failures = 0
-
-    def _mark_failure(self, replica: _Replica) -> None:
-        replica.failures += 1
-        if replica.live and replica.failures >= self.failure_threshold:
-            replica.live = False
-            replica.down_since = time.perf_counter()
-            self._stats["evictions"] += 1
-        elif not replica.live:
-            replica.down_since = time.perf_counter()  # failed half-open: re-cool
-
-    # ------------------------------------------------------------------
-    # API
-    # ------------------------------------------------------------------
-    def _pick(self, tried: set[int]) -> _Replica | None:
-        """Least-loaded live replica, preferring ones not yet tried."""
-        live = [r for r in self._replicas if r.live]
-        pool = [r for r in live if r.index not in tried] or live
-        if not pool:
-            return None
-        return min(pool, key=lambda r: (r.inflight, r.index))
-
-    async def solve(self, request: AuctionRequest) -> AuctionResponse:
-        """Solve on the healthiest replica, failing over on transport loss."""
-        last_error: BaseException | None = None
-        tried: set[int] = set()
-        for _sweep in range(self.failure_threshold * len(self._replicas)):
-            replica = self._pick(tried)
-            if replica is None:
-                break
-            tried.add(replica.index)
-            replica.inflight += 1
-            try:
-                return await asyncio.wait_for(
-                    replica.client.solve(request), self.request_timeout
-                )
-            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- failover: counted, next replica tries
-                last_error = exc
-                self._mark_failure(replica)
-                self._stats["failovers"] += 1
-            finally:
-                replica.inflight -= 1
-        if last_error is not None:
-            raise last_error
-        raise RuntimeError("no live gateway replicas")
-
-    async def register_scene(self, structure: AnyStructure) -> str:
-        """Register on every replica (each gateway may back its own
-        service); returns the fingerprint scene id, which is content-
-        derived and therefore identical across replicas."""
-        scene_id: str | None = None
-        last_error: BaseException | None = None
-        for replica in self._replicas:
-            try:
-                scene_id = await asyncio.wait_for(
-                    replica.client.register_scene(structure), self.request_timeout
-                )
-            except _TRANSPORT_ERRORS as exc:  # repro: allow[silent-except] -- replica down: marked, registration proceeds on the rest
-                last_error = exc
-                self._mark_failure(replica)
-        if scene_id is None:
-            raise last_error if last_error is not None else RuntimeError(
-                "no live gateway replicas"
-            )
-        return scene_id
-
-    async def health(self) -> bool:
-        """True when any replica answers its health check."""
-        for replica in self._replicas:
-            if replica.live and await self._probe(replica):
-                return True
-        return False
-
-    def stats(self) -> dict[str, Any]:
-        """Failover/eviction counters plus per-replica state."""
-        snapshot: dict[str, Any] = dict(self._stats)
-        snapshot["replicas"] = [
-            {
-                "endpoint": replica.endpoint,
-                "live": replica.live,
-                "failures": replica.failures,
-                "inflight": replica.inflight,
-                "client": replica.client.stats(),
-            }
-            for replica in self._replicas
-        ]
-        return snapshot
-
-
 class SyncGatewayClient:
-    """Synchronous facade: :class:`GatewayClient` on a daemon loop thread.
+    """Synchronous facade: a :class:`GatewayClient` on a daemon loop thread.
 
-    ``submit(request)`` returns a :class:`concurrent.futures.Future`
-    resolving to an :class:`~repro.service.wire.AuctionResponse` or
-    failing with the typed error — the same contract as
-    :meth:`AuctionService.submit`, so open-loop drivers and the chaos
-    harness can target a gateway without changing shape.  (One
-    difference is inherent to the network boundary: admission-control
-    sheds arrive asynchronously as a failed future, not as a synchronous
-    ``ShedError`` from ``submit``.)
+    Takes exactly :class:`GatewayClient`'s arguments.  ``submit(request)``
+    returns a :class:`concurrent.futures.Future` resolving to an
+    :class:`~repro.service.wire.AuctionResponse` or failing with the
+    typed error — the same contract as :meth:`AuctionService.submit`, so
+    open-loop drivers and the chaos harness can target a gateway without
+    changing shape.  (One difference is inherent to the network
+    boundary: admission-control sheds arrive asynchronously as a failed
+    future, not as a synchronous ``ShedError`` from ``submit``.)  Every
+    blocking call is bounded by the client's own timeouts.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        max_connections: int = 128,
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._client = GatewayClient(*args, **kwargs)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="gateway-client-loop", daemon=True
         )
         self._thread.start()
 
-        async def make_client() -> GatewayClient:
-            return GatewayClient(
-                host, port, max_connections, retry=retry, fault_plan=fault_plan
-            )
-
-        self._client: GatewayClient = asyncio.run_coroutine_threadsafe(
-            make_client(), self._loop
-        ).result(timeout=30)
+    def _run(self, coro: Coroutine[Any, Any, _T]) -> Future[_T]:
+        return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
     def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
         """Start one solve; returns a future (typed error on failure)."""
-        return asyncio.run_coroutine_threadsafe(
-            self._client.solve(request), self._loop
-        )
+        return self._run(self._client.solve(request))
 
     def solve(self, request: AuctionRequest) -> AuctionResponse:
         return self.submit(request).result()
@@ -731,120 +649,34 @@ class SyncGatewayClient:
     def solve_batch(
         self, requests: list[AuctionRequest]
     ) -> list[AuctionResponse | Exception]:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.solve_batch(requests), self._loop
-        ).result()
+        return self._run(self._client.solve_batch(requests)).result()
 
     def register_scene(self, structure: AnyStructure) -> str:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.register_scene(structure), self._loop
-        ).result(timeout=30)
+        return self._run(self._client.register_scene(structure)).result()
 
     def metrics(self) -> dict[str, Any]:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.metrics(), self._loop
-        ).result(timeout=30)
+        return self._run(self._client.metrics()).result()
 
     def health(self) -> bool:
-        return asyncio.run_coroutine_threadsafe(
-            self._client.health(), self._loop
-        ).result(timeout=30)
+        return self._run(self._client.health()).result()
 
     def stats(self) -> dict[str, int]:
-        """The client's attempt/retry/hedge counters (loop-thread safe)."""
+        """The client's flat counters (loop-thread safe)."""
         return self._client.stats()
+
+    def endpoints(self) -> list[dict[str, Any]]:
+        """Per-endpoint breaker state (loop-thread safe)."""
+        return self._client.endpoints()
 
     def close(self) -> None:
         loop, thread = self._loop, self._thread
         if not loop.is_closed():
-            asyncio.run_coroutine_threadsafe(self._client.close(), loop).result(
-                timeout=30
-            )
+            self._run(self._client.close()).result()
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=30)
             loop.close()
 
     def __enter__(self) -> "SyncGatewayClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SyncReplicaClient:
-    """Synchronous facade: :class:`ReplicaSet` on a daemon loop thread,
-    probe loop armed — the multi-replica counterpart of
-    :class:`SyncGatewayClient` with the same ``submit`` contract."""
-
-    def __init__(
-        self,
-        endpoints: list[tuple[str, int]],
-        *,
-        max_connections: int = 128,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        probe_interval: float = 0.1,
-        probe_timeout: float = 1.0,
-        failure_threshold: int = 3,
-        cooldown: float = 0.5,
-        request_timeout: float = 60.0,
-    ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="replica-client-loop", daemon=True
-        )
-        self._thread.start()
-
-        async def make_set() -> ReplicaSet:
-            replica_set = ReplicaSet(
-                endpoints,
-                max_connections=max_connections,
-                retry=retry,
-                fault_plan=fault_plan,
-                probe_interval=probe_interval,
-                probe_timeout=probe_timeout,
-                failure_threshold=failure_threshold,
-                cooldown=cooldown,
-                request_timeout=request_timeout,
-            )
-            await replica_set.start()
-            return replica_set
-
-        self._set: ReplicaSet = asyncio.run_coroutine_threadsafe(
-            make_set(), self._loop
-        ).result(timeout=30)
-
-    def submit(self, request: AuctionRequest) -> Future[AuctionResponse]:
-        """Start one solve with failover; returns a future."""
-        return asyncio.run_coroutine_threadsafe(self._set.solve(request), self._loop)
-
-    def solve(self, request: AuctionRequest) -> AuctionResponse:
-        return self.submit(request).result()
-
-    def register_scene(self, structure: AnyStructure) -> str:
-        return asyncio.run_coroutine_threadsafe(
-            self._set.register_scene(structure), self._loop
-        ).result(timeout=60)
-
-    def health(self) -> bool:
-        return asyncio.run_coroutine_threadsafe(
-            self._set.health(), self._loop
-        ).result(timeout=30)
-
-    def stats(self) -> dict[str, Any]:
-        return self._set.stats()
-
-    def close(self) -> None:
-        loop, thread = self._loop, self._thread
-        if not loop.is_closed():
-            asyncio.run_coroutine_threadsafe(self._set.close(), loop).result(
-                timeout=30
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
-            loop.close()
-
-    def __enter__(self) -> "SyncReplicaClient":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

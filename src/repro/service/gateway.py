@@ -293,8 +293,8 @@ class AuctionGateway:
 
         Must run on the gateway's event loop.  Unlike a graceful drain,
         clients see their in-flight exchanges die with a reset/EOF — the
-        failure a :class:`~repro.service.client.ReplicaSet` fails over
-        on.
+        failure a multi-endpoint
+        :class:`~repro.service.client.GatewayClient` fails over on.
         """
         for writer in list(self._open_writers):
             writer.close()
@@ -737,7 +737,7 @@ class GatewayServer:
         keep-alive connections finish their exchanges.  ``kill()`` also
         slams every open connection, so clients see resets/EOF on their
         in-flight requests — the signal that drives
-        :class:`~repro.service.client.ReplicaSet` eviction.
+        :class:`~repro.service.client.GatewayClient` endpoint eviction.
         """
         loop, server = self._loop, self._server
         if loop is not None and server is not None:

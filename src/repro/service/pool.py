@@ -115,7 +115,6 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     """
     import repro.engine.highs  # noqa: F401 - registers its fork-reset hook
     import repro.mechanism.vcg as vcg  # registers its fork-reset hook
-    from repro.service.faults import legacy_crash_fires
     from repro.service.service import AuctionService
     from repro.util.mp import run_fork_resets
 
@@ -156,8 +155,6 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
                     )
                 continue
             _, job_id, requests = message
-            # deprecated metadata["_crash_worker"] hook, shimmed via faults
-            crash = legacy_crash_fires(requests, generation)
             slow = 0.0
             if plan is not None:
                 key = requests[0].seed if requests else None
@@ -165,11 +162,8 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
                     "pool.worker.batch", generation=generation, key=key
                 ):
                     if spec.kind == "crash":
-                        crash = True
-                    else:
-                        slow += spec.delay
-            if crash:
-                os._exit(3)
+                        os._exit(3)  # actions() has already drawn every spec
+                    slow += spec.delay
             if slow > 0:  # slow-worker brownout: the parent just sees latency
                 time.sleep(slow)
             try:

@@ -1,14 +1,13 @@
-"""Multiprocessing start-method policy, shared by every process executor.
+"""Multiprocessing start-method policy for the process fan-out.
 
-Two places in the system spawn worker processes — the batch engine's
-``executor="process"`` fan-out and the service's
-:class:`~repro.service.pool.ProcessShardPool` — and both need the same
-answer to "how should a worker be started?":
+One place in the system spawns worker processes — the service's
+:class:`~repro.service.pool.ProcessShardPool` — and it needs an answer
+to "how should a worker be started?":
 
 * ``fork`` is the cheapest (workers inherit the parent's imports and any
   already-registered scenes for free) but is unsafe once the parent has
-  threads — and both call sites live in code that runs threads (the
-  service's dispatcher, pytest, user frontends).  Python 3.12 deprecates
+  threads — and the pool lives in code that runs threads (the service's
+  dispatcher, pytest, user frontends).  Python 3.12 deprecates
   it in exactly that situation.
 * ``spawn`` is always safe but pays a full interpreter start plus the
   numpy/scipy/HiGHS import cascade (~1s) *per worker*.
@@ -17,10 +16,11 @@ answer to "how should a worker be started?":
   is a cheap fork of that thread-free server.
 
 ``default_start_method`` therefore prefers ``forkserver`` where the
-platform offers it (Linux, macOS) and falls back to ``spawn``; callers
-expose a ``mp_start_method`` knob that forwards here, so ``"fork"`` can
-still be chosen explicitly by a single-threaded batch driver that wants
-the inherited-snapshot speedup.
+platform offers it (Linux, macOS) and falls back to ``spawn``;
+:class:`~repro.service.service.AuctionService` exposes a
+``mp_start_method`` knob that forwards here, so ``"fork"`` can still be
+chosen explicitly by a single-threaded driver that wants the
+inherited-snapshot speedup.
 """
 
 from __future__ import annotations

@@ -48,16 +48,12 @@ class TestBatchEngine:
         second = engine.solve_many(small_fleet, seed=17)
         assert _results_equal(first, second)
 
-    def test_serial_thread_process_identical(self, small_fleet):
+    def test_serial_thread_identical(self, small_fleet):
         serial = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=17)
         thread = BatchAuctionEngine(executor="thread", max_workers=4).solve_many(
             small_fleet, seed=17
         )
         assert _results_equal(serial, thread)
-        process = BatchAuctionEngine(executor="process", max_workers=2).solve_many(
-            small_fleet, seed=17
-        )
-        assert _results_equal(serial, process)
 
     def test_repeated_problems_share_lp_solves(self, small_fleet):
         batch = BatchAuctionEngine(executor="serial").solve_many(small_fleet, seed=3)

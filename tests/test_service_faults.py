@@ -1,5 +1,5 @@
 """Fault-injection subsystem: spec validation, seeded determinism,
-fire caps, pickling semantics, and the deprecated crash-hook shim.
+fire caps, and pickling semantics.
 
 These are pure unit tests (no worker processes); the sites themselves
 are exercised end-to-end in test_service_deadlines.py (service.solve),
@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.service import FAULT_SITES, FaultPlan, FaultSpec
-from repro.service.faults import legacy_crash_fires
 
 
 def crash_spec(**overrides):
@@ -181,22 +180,3 @@ class TestFaultPlanSerialization:
         assert clone.seed == plan.seed
         assert clone.specs == plan.specs
         assert "seed=11" in repr(plan)
-
-
-class TestLegacyCrashShim:
-    """Deprecation pin: the PR 6 ``metadata["_crash_worker"]`` hook keeps
-    working through the shim until a major version drops it."""
-
-    class _Req:
-        def __init__(self, metadata):
-            self.metadata = metadata
-
-    def test_generation_and_always_flags(self):
-        hit = [self._Req({"_crash_worker": 1})]
-        assert not legacy_crash_fires(hit, generation=0)
-        assert legacy_crash_fires(hit, generation=1)
-        assert legacy_crash_fires([self._Req({"_crash_worker": "always"})], 7)
-
-    def test_absent_metadata_never_fires(self):
-        assert not legacy_crash_fires([self._Req({})], generation=0)
-        assert not legacy_crash_fires([], generation=0)

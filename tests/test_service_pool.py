@@ -134,27 +134,6 @@ class TestCrashRecovery:
         assert service.metrics.counts()["failed"] == 0
         reference.close()
 
-    def test_legacy_crash_worker_metadata_shim(self, scene):
-        """Deprecation pin: the PR 6 ``metadata["_crash_worker"]`` hook
-        still kills the named incarnation (via the faults-module shim)
-        until a major version removes it — new code uses FaultPlan."""
-        service = make_service(
-            scene,
-            num_shards=1,
-            coalesce_window=0.0,
-            pool_config={"respawn_backoff": 0.01},
-        )
-        [scene_id] = service.registry.ids()
-        vals = random_xor_valuations(N, K, seed=5)
-        crashing = AuctionRequest(
-            scene_id, K, vals, seed=9, metadata={"_crash_worker": 0}
-        )
-        assert service.submit(crashing).result(timeout=180).feasible
-        stats = service._pool.stats()
-        assert stats["restarts"] == 1
-        assert stats["retried_batches"] == 1
-        assert service.close(timeout=180)
-
     def test_killed_idle_worker_recovers_on_next_batch(self, scene):
         service = make_service(scene, num_shards=1, coalesce_window=0.0)
         [scene_id] = service.registry.ids()

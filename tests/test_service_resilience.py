@@ -11,8 +11,11 @@ Every test drives a real localhost gateway.  The contracts pinned here
 * a hedged request races its primary under the same idempotency key,
   so hedging buys tail latency without duplicate work;
 * killing one of two gateway replicas mid-trace loses no accepted
-  request — the ReplicaSet evicts the dead replica and drains onto the
-  survivor while the backing service stays healthy.
+  request — the client evicts the dead endpoint and drains onto the
+  survivor while the backing service stays healthy;
+* one attempt budget spans every endpoint: ordinals run
+  1..``max_attempts`` and a failover is just the next attempt, so a
+  single-endpoint client sends exactly its solves and nothing else.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from repro.service import (
     GatewayServer,
     RetryPolicy,
     SyncGatewayClient,
-    SyncReplicaClient,
     run_scenario,
     scenario_library,
 )
@@ -326,14 +328,28 @@ class TestHedging:
             service.close()
 
 
+class _RecordingPlan(FaultPlan):
+    """A fault plan that remembers the key of every ``client.connect``
+    evaluation — the (seed, attempt ordinal) stamped on each attempt."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.keys = []
+
+    def actions(self, site, **kwargs):
+        if site == "client.connect":
+            self.keys.append(kwargs.get("key"))
+        return super().actions(site, **kwargs)
+
+
 class TestReplicaFailover:
     def test_killing_one_of_two_replicas_loses_no_accepted_request(self, scene):
         service = AuctionService(executor="serial", coalesce_window=0.002)
         scene_id = service.register_scene(scene)
         server_a = GatewayServer(service).start()
         server_b = GatewayServer(service).start()
-        client = SyncReplicaClient(
-            [("127.0.0.1", server_a.port), ("127.0.0.1", server_b.port)],
+        client = SyncGatewayClient(
+            endpoints=[("127.0.0.1", server_a.port), ("127.0.0.1", server_b.port)],
             retry=RetryPolicy(max_attempts=2, backoff_base=0.002),
             probe_interval=0.05,
             failure_threshold=2,
@@ -351,7 +367,7 @@ class TestReplicaFailover:
             assert all(isinstance(r, AuctionResponse) for r in results)
 
             stats = client.stats()
-            dead = [r for r in stats["replicas"] if not r["live"]]
+            dead = [r for r in client.endpoints() if not r["live"]]
             assert len(dead) == 1
             assert dead[0]["endpoint"].endswith(f":{server_a.port}")
             assert stats["evictions"] == 1
@@ -370,4 +386,77 @@ class TestReplicaFailover:
 
     def test_replica_set_requires_endpoints(self):
         with pytest.raises(ValueError, match="endpoint"):
-            SyncReplicaClient([])
+            SyncGatewayClient(endpoints=[])
+
+
+class TestAttemptBudget:
+    SPEC = FaultSpec(site="client.connect", kind="reset", probability=0.5)
+
+    def reset_seed(self):
+        """A request seed whose attempt 1 is reset and attempt 2 is not."""
+        probe = FaultPlan([self.SPEC], seed=5)
+        return next(
+            s
+            for s in range(64)
+            if probe.fires("client.connect", key=(s, 1)) is not None
+            and probe.fires("client.connect", key=(s, 2)) is None
+        )
+
+    def two_gateways(self, scene):
+        service = AuctionService(executor="serial", coalesce_window=0.0)
+        scene_id = service.register_scene(scene)
+        servers = [GatewayServer(service).start() for _ in range(2)]
+        endpoints = [("127.0.0.1", server.port) for server in servers]
+        return service, scene_id, servers, endpoints
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    def test_failover_spends_the_one_attempt_budget(self, scene, max_attempts):
+        """Failover resends are attempts: ordinals run 1..max_attempts
+        across both endpoints, so a fault keyed to ordinal 1 fires once
+        and the default policy makes exactly one attempt."""
+        seed = self.reset_seed()
+        plan = _RecordingPlan([self.SPEC], seed=5)
+        service, scene_id, servers, endpoints = self.two_gateways(scene)
+        client = SyncGatewayClient(
+            endpoints=endpoints,
+            retry=RetryPolicy(max_attempts=max_attempts),  # 1: the default
+            fault_plan=plan,
+        )
+        try:
+            request = make_request(scene_id, seed=seed)
+            if max_attempts == 1:
+                with pytest.raises(ConnectionResetError):
+                    client.solve(request)
+            else:
+                assert client.solve(request) == service.solve_batch([request])[0]
+            stats = client.stats()
+            assert stats["attempts"] == max_attempts
+            assert plan.keys == [(seed, n) for n in range(1, max_attempts + 1)]
+            assert stats["connect_faults"] == 1
+            assert stats["failovers"] == max_attempts - 1
+            assert stats["evictions"] == 0
+            assert all(ep["live"] for ep in client.endpoints())
+        finally:
+            client.close()
+            for server in servers:
+                server.close()
+            service.close()
+
+    def test_single_endpoint_sends_only_its_solves(self, scene):
+        """No health probes, no extra exchanges: after N solves through
+        a one-endpoint client the gateway has seen exactly N requests,
+        even after several probe intervals have passed."""
+        service, scene_id = serve(scene)
+        try:
+            with GatewayServer(service) as server:
+                with SyncGatewayClient(port=server.port) as client:
+                    for seed in range(5):
+                        client.solve(make_request(scene_id, seed=seed))
+                    time.sleep(0.5)  # five default probe intervals
+                    counters = server.gateway.counters()
+                    stats = client.stats()
+            assert counters["requests"] == 5
+            assert stats["attempts"] == 5
+            assert stats["probe_failures"] == 0
+        finally:
+            service.close()
