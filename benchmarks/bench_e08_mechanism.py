@@ -1,9 +1,10 @@
 """E8 — Section 5: Lavi–Swamy decomposition exact; truthful in expectation.
 
-Since PR 5 the experiment runs on the compiled fast path (cold-persistent
-pricing + warm VCG probes) and additionally checks payoff/marginal parity
-against the preserved ``pricing="reference"`` pipeline on the same small
-instance.
+The experiment runs the mechanism on the compiled fast path
+(cold-persistent pricing + warm VCG probes) and additionally checks
+payoff/marginal parity against the seed-era oracles
+(``reference_decomposition`` + ``reference_vcg_payments``) on the same
+small instance.
 """
 
 from conftest import run_and_record

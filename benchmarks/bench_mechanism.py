@@ -1,25 +1,28 @@
 """Truthful-mechanism benchmark — writes BENCH_mechanism.json.
 
 Measures the Section 5 truthful-in-expectation mechanism on the compiled
-fast path (PR 5) against the reference (pre-fast-path) pipeline:
+fast path against the reference (pre-fast-path) pipeline:
 
 * ``truthful_trace_n300`` — the acceptance scenario: a repeat-heavy
   Poisson trace of truthful requests (85% reuse one of 6 valuation
   profiles) against one n≈300 metro disk scene, replayed at maximum
   service rate.  The fast service prepares each profile's decomposition +
   payments once (compiled pricing, warm-started VCG probes, vectorized
-  derandomization) and serves repeats by sampling; the baseline service
-  recomputes the full reference mechanism — seed-era ``AuctionLP``
-  rebuilds and per-bidder cold VCG solves — for every request, exactly
-  the pre-PR cost.  Sampled allocations must be bit-identical between
-  the two replays and payments equal to VCG-probe tolerance.
+  derandomization) and serves repeats by sampling; the baseline replays
+  the same trace through the seed-era oracles, recomputing every request
+  — explicit ``AuctionLP`` solve, :func:`reference_decomposition`
+  (``AuctionLP`` rebuilds + ``linprog`` master) and
+  :func:`reference_vcg_payments` (per-bidder cold solves), then a sample
+  with the request's seed, as the service draws it.  Sampled allocations
+  must be bit-identical between the two replays and payments equal to
+  VCG-probe tolerance.
 * ``truthful_n1000`` — one n=1000 metro disk truthful auction end to end
   on the fast path (LP → decomposition → payments → sample), which the
   reference pipeline cannot finish in reasonable time; the acceptance
   criterion is single-digit seconds.
-* ``decomposition_parity`` — a direct ``pricing="approx"`` vs
-  ``pricing="reference"`` decomposition on one instance: pool, weights,
-  keep probabilities, and samples compared bit-for-bit (the same
+* ``decomposition_parity`` — a direct :func:`decompose_lp_solution` vs
+  :func:`reference_decomposition` comparison on one instance: pool,
+  weights, keep probabilities, and samples compared bit-for-bit (the same
   invariant ``tests/test_mechanism_parity.py`` pins across models).
 * ``smoke_truthful_n150`` — a scaled-down trace cheap enough for the CI
   regression gate to re-measure (see check_regression.py).
@@ -41,11 +44,18 @@ import time
 
 import numpy as np
 
+from repro.core.auction import AuctionProblem
 from repro.core.solver import SpectrumAuctionSolver
 from repro.experiments.workloads import metro_disk_scene, metro_truthful_auction
-from repro.mechanism.lavi_swamy import decompose_lp_solution
-from repro.mechanism.truthful import TruthfulMechanism
+from repro.mechanism.lavi_swamy import (
+    decompose_lp_solution,
+    default_alpha,
+    reference_decomposition,
+)
+from repro.mechanism.truthful import MechanismOutcome, TruthfulMechanism
+from repro.mechanism.vcg import reference_vcg_payments
 from repro.service import AuctionService, SceneRegistry, poisson_trace
+from repro.util.rng import ensure_rng
 
 OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_mechanism.json"
 
@@ -54,21 +64,33 @@ SMOKE_MIN_SPEEDUP = 3.0
 N1000_MAX_SECONDS = 10.0
 
 
-def _service(registry: SceneRegistry, fast: bool) -> AuctionService:
-    """The benchmark's two configurations of the same service."""
-    options: dict = {"registry": registry, "executor": "serial"}
-    if fast:
-        options.update(coalesce_window=0.05, max_batch=16)
-    else:  # baseline: no caches, no coalescing, reference mechanism pipeline
-        options.update(
-            coalesce_window=0.0,
-            max_batch=1,
-            structure_cache_size=0,
-            problem_cache_size=0,
-            mechanism_cache_size=0,
-            mechanism_pricing="reference",
+def _reference_replay(registry: SceneRegistry, trace) -> tuple[list, list[float]]:
+    """The baseline: every request of ``trace`` recomputed through the
+    seed-era oracles, prepared with seed 0 and sampled with the request's
+    seed as the service does.  Returns the outcomes and per-request
+    seconds."""
+    outcomes, seconds = [], []
+    for item in trace:
+        request = item.request
+        start = time.perf_counter()
+        problem = AuctionProblem(
+            registry.get(request.scene_id), request.k, list(request.valuations)
         )
-    return AuctionService(**options)
+        solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
+        alpha = default_alpha(problem)
+        decomposition = reference_decomposition(problem, solution, alpha, seed=0)
+        vcg = reference_vcg_payments(problem, solution, alpha)
+        outcomes.append(
+            MechanismOutcome(
+                decomposition=decomposition,
+                payments=vcg.payments,
+                alpha=alpha,
+                lp_value=solution.value,
+                sampled_allocation=decomposition.sample(ensure_rng(request.seed)),
+            )
+        )
+        seconds.append(time.perf_counter() - start)
+    return outcomes, seconds
 
 
 def bench_truthful_trace(
@@ -84,11 +106,11 @@ def bench_truthful_trace(
 ) -> dict:
     """Max-rate replay of one truthful Poisson trace, fast vs reference.
 
-    Both configurations replay the *identical* trace (same valuations,
-    same per-request sampling seeds) in simulated time.  The fast path's
-    caching, coalescing, compiled pricing, and warm VCG probes are
-    result-preserving: sampled allocations are asserted bit-identical and
-    payments equal within probe tolerance.
+    The fast service and the reference oracles replay the *identical*
+    trace (same valuations, same per-request sampling seeds); the service
+    runs in simulated time.  The fast path's caching, coalescing, compiled
+    pricing, and warm VCG probes are result-preserving: sampled allocations
+    are asserted bit-identical and payments equal within probe tolerance.
     """
     registry = SceneRegistry()
     scene_id = registry.register(metro_disk_scene(n, seed=scene_seed))
@@ -111,26 +133,38 @@ def bench_truthful_trace(
             f"{unique_profiles} reusable profiles, {bids_per_bidder} bids/bidder"
         ),
     }
-    outcomes = {}
-    for label, fast in (("baseline", False), ("fast", True)):
-        service = _service(registry, fast)
-        start = time.perf_counter()
-        results = service.run_trace(trace)
-        wall = time.perf_counter() - start
-        outcomes[label] = results
-        snap = service.metrics_snapshot()
-        entry[label] = {
-            "requests": snap["requests_completed"],
-            "wall_seconds": wall,
-            "throughput_rps": snap["requests_completed"] / wall,
-            "latency_p50_ms": snap["latency_seconds"]["p50"] * 1e3,
-            "latency_p95_ms": snap["latency_seconds"]["p95"] * 1e3,
-            "mechanism_cache_hit_rate": snap["caches"]["mechanisms"]["hit_rate"],
-            "expected_welfare": float(
-                sum(r.decomposition.expected_welfare() for r in results)
-            ),
-        }
-    fast_r, base_r = outcomes["fast"], outcomes["baseline"]
+    start = time.perf_counter()
+    base_r, seconds = _reference_replay(registry, trace)
+    wall = time.perf_counter() - start
+    entry["baseline"] = {
+        "requests": len(base_r),
+        "wall_seconds": wall,
+        "throughput_rps": len(base_r) / wall,
+        "latency_p50_ms": float(np.percentile(seconds, 50)) * 1e3,
+        "latency_p95_ms": float(np.percentile(seconds, 95)) * 1e3,
+        "mechanism_cache_hit_rate": 0.0,
+        "expected_welfare": float(
+            sum(r.decomposition.expected_welfare() for r in base_r)
+        ),
+    }
+    service = AuctionService(
+        registry=registry, executor="serial", coalesce_window=0.05, max_batch=16
+    )
+    start = time.perf_counter()
+    fast_r = service.run_trace(trace)
+    wall = time.perf_counter() - start
+    snap = service.metrics_snapshot()
+    entry["fast"] = {
+        "requests": snap["requests_completed"],
+        "wall_seconds": wall,
+        "throughput_rps": snap["requests_completed"] / wall,
+        "latency_p50_ms": snap["latency_seconds"]["p50"] * 1e3,
+        "latency_p95_ms": snap["latency_seconds"]["p95"] * 1e3,
+        "mechanism_cache_hit_rate": snap["caches"]["mechanisms"]["hit_rate"],
+        "expected_welfare": float(
+            sum(r.decomposition.expected_welfare() for r in fast_r)
+        ),
+    }
     samples_identical = all(
         f.sampled_allocation == b.sampled_allocation
         for f, b in zip(fast_r, base_r)
@@ -187,42 +221,29 @@ def bench_decomposition_parity(n: int = 200, k: int = 4, seed: int = 1600) -> di
     """Direct approx-vs-reference decomposition comparison on one instance."""
     problem = metro_truthful_auction(n, k, seed=seed)
     solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
-    timings = {}
-    results = {}
-    for mode in ("reference", "approx", "warm"):
-        start = time.perf_counter()
-        results[mode] = decompose_lp_solution(
-            problem, solution, seed=7, pricing=mode
-        )
-        timings[mode] = time.perf_counter() - start
-    ref, fast, warm = results["reference"], results["approx"], results["warm"]
+    start = time.perf_counter()
+    ref = reference_decomposition(problem, solution, seed=7)
+    seconds_reference = time.perf_counter() - start
+    start = time.perf_counter()
+    fast = decompose_lp_solution(problem, solution, seed=7)
+    seconds_approx = time.perf_counter() - start
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     entry = {
         "workload": f"decompose x*/alpha, metro_truthful_auction(n={n}, k={k})",
         "iterations": ref.iterations,
         "pool_size": len(ref.allocations),
-        "seconds_reference": timings["reference"],
-        "seconds_approx": timings["approx"],
-        "seconds_warm": timings["warm"],
-        "decompose_speedup": timings["reference"] / timings["approx"],
+        "seconds_reference": seconds_reference,
+        "seconds_approx": seconds_approx,
+        "decompose_speedup": seconds_reference / seconds_approx,
         "pool_identical": ref.allocations == fast.allocations,
         "weights_identical": bool(np.array_equal(ref.weights, fast.weights)),
         "keep_identical": ref.keep_probability == fast.keep_probability,
         "samples_identical": all(
             ref.sample(rng_a) == fast.sample(rng_b) for _ in range(100)
         ),
-        # the warm profile is not vertex-pinned; its guarantee is the exact
-        # marginal, which we verify instead of bit-parity
-        "warm_pair_mass_error": float(
-            max(
-                abs(m - warm.target[p])
-                for p, m in warm.pair_mass().items()
-            )
-        ),
     }
     assert entry["pool_identical"] and entry["weights_identical"]
     assert entry["keep_identical"] and entry["samples_identical"]
-    assert entry["warm_pair_mass_error"] < 1e-7
     return entry
 
 

@@ -11,12 +11,16 @@ Run:  python examples/truthful_mechanism.py
 import numpy as np
 
 from repro import (
+    AuctionProblem,
+    SpectrumAuctionSolver,
     TruthfulMechanism,
     XORValuation,
     protocol_model,
     random_links,
     random_xor_valuations,
 )
+from repro.mechanism.lavi_swamy import reference_decomposition
+from repro.mechanism.vcg import reference_vcg_payments
 
 
 def main() -> None:
@@ -66,17 +70,19 @@ def main() -> None:
         assert lie_u <= truth_u + 1e-6
 
     # --- fast path vs reference pipeline ----------------------------------
-    # The default mechanism runs on the engine-compiled fast path (compiled
-    # pricing, warm VCG probes, vectorized derandomization); the seed-era
-    # pipeline survives as pricing="reference" and publishes the exact same
+    # The mechanism runs on the engine-compiled fast path (compiled pricing,
+    # warm VCG probes, vectorized derandomization); the seed-era pipeline
+    # survives as two oracle functions and publishes the exact same
     # distribution — same marginals, same pool, same samples per seed.
-    reference = TruthfulMechanism(structure, k, pricing="reference")
-    ref_outcome = reference.run(valuations, seed=8)
-    assert ref_outcome.decomposition.target == dec.target
-    assert ref_outcome.sampled_allocation == sampled
-    gap = float(np.abs(ref_outcome.payments - outcome.payments).max())
+    problem = AuctionProblem(structure, k, valuations)
+    solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
+    rng = np.random.default_rng(8)
+    reference = reference_decomposition(problem, solution, seed=rng)
+    ref_payments = reference_vcg_payments(problem, solution, outcome.alpha).payments
+    assert reference.target == dec.target
+    assert reference.sample(rng) == sampled
+    gap = float(np.abs(ref_payments - outcome.payments).max())
     print(f"\nfast vs reference pipeline: identical samples, payment gap {gap:.1e}")
-
 
 if __name__ == "__main__":
     main()

@@ -65,8 +65,9 @@ from repro.interference.physical import (
     uniform_power,
 )
 from repro.interference.protocol import protocol_model, protocol_rho_bound
-from repro.mechanism.lavi_swamy import decompose_lp_solution
+from repro.mechanism.lavi_swamy import decompose_lp_solution, reference_decomposition
 from repro.mechanism.truthful import TruthfulMechanism
+from repro.mechanism.vcg import reference_vcg_payments
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.tables import Table
 from repro.valuations.explicit import XORValuation
@@ -335,20 +336,16 @@ def run_e8(n: int = 10, k: int = 3, misreports: int = 4, seed: int = 81) -> Expe
     )
     welfare_err = abs(dec.expected_welfare() - solution.value / dec.alpha)
 
-    # fast-vs-reference parity on this instance: the compiled default path
-    # must publish the same distribution (bit-identical marginals, identical
-    # pool) and the same payoffs (within VCG-probe tolerance) as the
-    # pre-fast-path pipeline, which stays available as pricing="reference"
+    # fast-vs-reference parity on this instance: the mechanism must publish
+    # the same distribution (bit-identical marginals, identical pool) and
+    # the same payoffs (within VCG-probe tolerance) as the seed-era oracles
     mech = TruthfulMechanism(problem.structure, k)
     truth = mech.run(problem.valuations, seed=seed, sample=False)
-    reference = TruthfulMechanism(problem.structure, k, pricing="reference").run(
-        problem.valuations, seed=seed, sample=False
-    )
-    marginals_identical = truth.decomposition.target == reference.decomposition.target
-    pool_identical = (
-        truth.decomposition.allocations == reference.decomposition.allocations
-    )
-    payment_gap = float(np.abs(truth.payments - reference.payments).max())
+    reference = reference_decomposition(problem, solution, seed=seed)
+    reference_payments = reference_vcg_payments(problem, solution, dec.alpha).payments
+    marginals_identical = truth.decomposition.target == reference.target
+    pool_identical = truth.decomposition.allocations == reference.allocations
+    payment_gap = float(np.abs(truth.payments - reference_payments).max())
     rng = ensure_rng(seed + 1)
     max_gain = -math.inf
     for bidder in range(min(4, n)):

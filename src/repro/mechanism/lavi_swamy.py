@@ -22,37 +22,27 @@ channel feasibility); what the decomposition uses is only that the
 algorithm outputs **feasible** allocations whose value is within α of the
 *fractional* optimum, which our rounding algorithms provide.
 
-Three implementations of the column-generation loop coexist:
+One column-generation loop serves the mechanism.  Its pricing oracle runs
+on the engine: the support columns are compiled once into a
+:class:`~repro.engine.compiled.CompiledAuction` (shared structure
+compilation, vectorized CSC assembly); each pricing iteration re-solves
+that matrix on the persistent HiGHS backend with a new objective and
+rounds with the vectorized derandomization kernels, and the master is
+rebuilt from the pool and solved on the same backend.  Every solve is
+*cold* (model re-passed, no basis reuse), which is what keeps every
+vertex — and therefore the whole decomposition: pool, weights, keep
+probabilities, samples — bit-identical to :func:`reference_decomposition`,
+the seed-era loop (fresh ``AuctionLP`` build + ``linprog`` per iteration)
+kept as the test and benchmark oracle (parity pinned by
+``tests/test_mechanism_parity.py``).
 
-* ``pricing="approx"`` (default) — the engine-compiled hot path.  The
-  support columns are compiled once into a
-  :class:`~repro.engine.compiled.CompiledAuction` (shared structure
-  compilation, vectorized CSC assembly); each pricing iteration re-solves
-  that matrix on the persistent HiGHS backend with a new objective and
-  rounds with the vectorized derandomization kernels.  Solves are *cold*
-  (model re-passed, no basis reuse), which is what keeps every pricing
-  vertex — and therefore the whole decomposition: pool, weights, keep
-  probabilities, samples — bit-identical to ``"reference"``
-  (pinned by ``tests/test_mechanism_parity.py``).
-* ``pricing="warm"`` — maximum throughput: pricing re-solves mutate only
-  the objective of the loaded model (``changeColsCost`` + previous-basis
-  simplex restart) and the master runs on a persistent incremental-column
-  HiGHS instance (:class:`_IncrementalMaster`).  Both return optimal
-  solutions, but on the degenerate LPs of the decomposition possibly a
-  different optimal vertex / dual than a cold solve — so the pool can
-  legitimately differ from the reference while carrying the *same* exact
-  marginals.  Like the engine's ``lp_warm_start``, this profile is opt-in
-  and never used where bit-parity is pinned.
-* ``pricing="reference"`` — the seed-era loop kept verbatim (fresh
-  ``AuctionLP`` build + ``linprog`` per iteration): the baseline
-  ``BENCH_mechanism.json`` measures against, and the parity anchor.
-
-``pricing="exact"`` prices with the MILP as before (small instances at any
-α above their true gap).
+``pricing="exact"`` prices with the MILP instead, letting small instances
+decompose at any α above their true integrality gap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +55,14 @@ from repro.core.conflict_resolution import make_fully_feasible
 from repro.core.derandomize import derandomize_rounding
 from repro.util.rng import ensure_rng
 
-__all__ = ["DecompositionResult", "decompose_lp_solution", "default_alpha"]
+__all__ = [
+    "DecompositionResult",
+    "decompose_lp_solution",
+    "default_alpha",
+    "reference_decomposition",
+]
 
-PRICING_MODES = ("approx", "warm", "exact", "reference")
+PRICING_MODES = ("approx", "exact")
 
 
 def default_alpha(problem: AuctionProblem) -> float:
@@ -209,20 +204,15 @@ class _CompiledPricer:
     The support columns' constraint matrix never changes across pricing
     iterations — only the objective (the master's duals ``w``) does — so
     the matrix is assembled once through :class:`CompiledAuction` (shared
-    structure compilation, vectorized CSC assembly).  With ``warm=True``
-    every solve after the first goes through the warm-start path of
-    :func:`~repro.engine.highs.solve_packing_lp_fast`: ``changeColsCost``
-    on the loaded model plus a previous-basis simplex restart.  With
-    ``warm=False`` each solve re-passes the model cold — bit-identical to
-    the reference oracle's ``linprog`` (only the scipy/AuctionLP rebuild
-    overhead is gone).
+    structure compilation, vectorized CSC assembly).  Each solve re-passes
+    the model cold — bit-identical to the reference oracle's ``linprog``
+    (only the scipy/AuctionLP rebuild overhead is gone).
     """
 
     def __init__(
         self,
         problem: AuctionProblem,
         columns: list[Column],
-        warm: bool = False,
         compiled_structure=None,
     ) -> None:
         from repro.engine.compiled import CompiledAuction, compile_structure
@@ -235,18 +225,11 @@ class _CompiledPricer:
             columns=columns,
         )
         self._a, self._b, _ = compiled.matrices_csc()
-        self._warm_key = ("lavi-swamy-pricing", id(self)) if warm else None
 
     def price(self, objective: np.ndarray) -> Allocation:
         from repro.engine.highs import solve_packing_lp_fast
 
-        sol = solve_packing_lp_fast(
-            objective,
-            self._a,
-            self._b,
-            warm_key=self._warm_key,
-            solver="simplex",
-        )
+        sol = solve_packing_lp_fast(objective, self._a, self._b, solver="simplex")
         n, k = self._problem.n, self._problem.k
         adjusted_cols = [
             Column(col.vertex, col.bundle, float(obj))
@@ -270,8 +253,7 @@ def _solve_master(
     """min Σλ s.t. Σ_l λ_l 𝟙[pair ∈ l] ≥ r; returns (λ, μ, duals w ≥ 0).
 
     The reference master: rebuilt from the whole pool and cold-solved with
-    ``linprog`` every iteration (also the fallback when the private HiGHS
-    bindings are unavailable).
+    ``linprog`` every iteration.
     """
     a = _master_matrix(pool, pairs)
     res = linprog(
@@ -314,120 +296,13 @@ def _solve_master_fast(
     cold-solved — primal, value, and duals are bit-identical to
     :func:`_solve_master`; only the scipy call overhead is gone.
     """
-    from repro.engine.highs import fast_backend_available, solve_packing_lp_fast
+    from repro.engine.highs import solve_packing_lp_fast
 
-    if not fast_backend_available():  # pragma: no cover - binding-dependent
-        return _solve_master(pool, pairs, r)
     a = _master_matrix(pool, pairs)
     sol = solve_packing_lp_fast(
         -np.ones(len(pool)), sp.csc_matrix(-a), -r, solver="simplex"
     )
     return sol.x, float(-sol.value), sol.duals
-
-
-class _IncrementalMaster:
-    """The decomposition master on a persistent incremental-column HiGHS.
-
-    Rows (one ≥-covering constraint per support pair) are fixed at
-    construction; each iteration only *appends* the pricing oracle's new
-    allocations via ``addCols`` and re-solves from the previous basis —
-    the classic column-generation warm start — instead of rebuilding the
-    LP from the whole pool and cold-solving it.  Falls back to the
-    ``linprog`` rebuild when the private bindings are missing.
-    """
-
-    def __init__(
-        self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray
-    ) -> None:
-        from repro.engine.highs import (
-            highs_core,
-            new_highs_instance,
-            pass_colwise_model,
-        )
-
-        self._pairs = pairs
-        self._pair_index = {p: i for i, p in enumerate(pairs)}
-        self._r = np.asarray(r, dtype=float)
-        self._added = 0
-        self._core = highs_core()
-        self._highs = new_highs_instance()
-        if self._highs is None:
-            return
-        m = len(pairs)
-        empty = sp.csc_matrix(
-            (np.empty(0), np.empty(0, np.int32), np.zeros(1, np.int32)),
-            shape=(m, 0),
-        )
-        pass_colwise_model(
-            self._highs,
-            empty,
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-            self._r,
-            np.full(m, np.inf),
-        )
-
-    def _append(self, allocs: list[Allocation]) -> None:
-        starts: list[int] = []
-        indices: list[int] = []
-        for alloc in allocs:
-            starts.append(len(indices))
-            covered = sorted(
-                self._pair_index[key]
-                for key in ((v, bundle) for v, bundle in alloc.items())
-                if key in self._pair_index
-            )
-            indices.extend(covered)
-        num = len(allocs)
-        self._highs.addCols(
-            num,
-            np.ones(num),
-            np.zeros(num),
-            np.full(num, np.inf),
-            len(indices),
-            np.asarray(starts, dtype=np.int32),
-            np.asarray(indices, dtype=np.int32),
-            np.ones(len(indices)),
-        )
-
-    def solve(
-        self, pool: list[Allocation]
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        if self._highs is None:  # pragma: no cover - binding-dependent
-            return _solve_master(pool, self._pairs, self._r)
-        if len(pool) > self._added:
-            self._append(pool[self._added :])
-            self._added = len(pool)
-        self._highs.run()
-        status = self._highs.getModelStatus()
-        if status != self._core.HighsModelStatus.kOptimal:
-            raise RuntimeError(
-                "decomposition master failed: "
-                f"{self._highs.modelStatusToString(status)}"
-            )
-        solution = self._highs.getSolution()
-        lam = np.asarray(solution.col_value, dtype=float)
-        w = np.maximum(np.asarray(solution.row_dual, dtype=float), 0.0)
-        mu = float(self._highs.getInfo().objective_function_value)
-        return lam, mu, w
-
-
-class _FastMaster:
-    """Reference master semantics on the persistent backend: rebuilt from
-    the pool each iteration and cold-solved — bit-identical results,
-    without the scipy call overhead."""
-
-    def __init__(
-        self, pairs: list[tuple[int, frozenset[int]]], r: np.ndarray
-    ) -> None:
-        self._pairs = pairs
-        self._r = np.asarray(r, dtype=float)
-
-    def solve(
-        self, pool: list[Allocation]
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        return _solve_master_fast(pool, self._pairs, self._r)
 
 
 def decompose_lp_solution(
@@ -445,15 +320,11 @@ def decompose_lp_solution(
     ``pricing`` selects the oracle that searches for violated dual
     constraints: ``"approx"`` is the paper's route (the α-approximation
     itself, valid whenever α is the verified gap 8√kρ / 16√kρ⌈log n⌉) on
-    the engine-compiled fast path, bit-identical to ``"reference"`` — the
-    same oracle on the seed-era rebuild-per-iteration pipeline (the
-    benchmark baseline; parity is pinned by
-    ``tests/test_mechanism_parity.py``).  ``"warm"`` trades that parity
-    for warm-started pricing re-solves and an incremental-column master
-    (optimal but not vertex-pinned — see the module docstring).
-    ``"exact"`` prices with the MILP of :mod:`repro.core.exact`, letting
-    small instances decompose at *any* α down to their true integrality
-    gap (used by experiment E8 to run the mechanism at practical scales).
+    the engine-compiled pricer, bit-identical to
+    :func:`reference_decomposition` (parity is pinned by
+    ``tests/test_mechanism_parity.py``).  ``"exact"`` prices with the MILP
+    of :mod:`repro.core.exact`, letting small instances decompose at *any*
+    α down to their true integrality gap.
 
     ``compiled_structure`` forwards an existing engine compilation of the
     problem's structure to the compiled pricer (the mechanism and the
@@ -461,6 +332,64 @@ def decompose_lp_solution(
     """
     if pricing not in PRICING_MODES:
         raise ValueError(f"unknown pricing mode {pricing!r}")
+    return _column_generation(
+        problem,
+        solution,
+        alpha,
+        lambda columns: _CompiledPricer(
+            problem, columns, compiled_structure=compiled_structure
+        ).price,
+        _solve_master_fast,
+        exact=pricing == "exact",
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        seed=seed,
+    )
+
+
+def reference_decomposition(
+    problem: AuctionProblem,
+    solution: AuctionLPSolution,
+    alpha: float | None = None,
+    seed=None,
+) -> DecompositionResult:
+    """The seed-era decomposition: the same loop, rebuilding ``AuctionLP``
+    for every pricing solve and solving the master with ``linprog``.
+
+    The test and benchmark oracle — :func:`decompose_lp_solution` must
+    return a bit-identical result.
+    """
+
+    def price_for(columns: list[Column]) -> Callable[[np.ndarray], Allocation]:
+        lp = AuctionLP(problem, columns=columns)
+        return lambda objective: _integral_allocation_for(problem, lp, objective)
+
+    return _column_generation(
+        problem, solution, alpha, price_for, _solve_master, exact=False, seed=seed
+    )
+
+
+def _column_generation(
+    problem: AuctionProblem,
+    solution: AuctionLPSolution,
+    alpha: float | None,
+    price_for: Callable[[list[Column]], Callable[[np.ndarray], Allocation]],
+    solve_master: Callable[
+        [list[Allocation], list[tuple[int, frozenset[int]]], np.ndarray],
+        tuple[np.ndarray, float, np.ndarray],
+    ],
+    exact: bool,
+    max_iterations: int = 400,
+    tolerance: float = 1e-7,
+    seed=None,
+) -> DecompositionResult:
+    """The column-generation loop behind both decompositions.
+
+    ``price_for(support columns)`` returns the approximation oracle (an
+    adjusted objective → an integral allocation); ``solve_master`` solves
+    the covering master over the pool.  ``exact`` switches the in-loop
+    pricing to the MILP.
+    """
     rng = ensure_rng(seed)
     alpha_val = default_alpha(problem) if alpha is None else float(alpha)
     support = solution.support()
@@ -468,25 +397,8 @@ def decompose_lp_solution(
     support_x = np.array([x for _, x in support])
     r = support_x / alpha_val
     target = {p: float(ri) for p, ri in zip(pairs, r)}
-    support_cols = [col for col, _ in support]
-
-    if pricing == "reference":
-        lp = AuctionLP(problem, columns=support_cols)
-        columns = lp.columns
-        price = lambda objective: _integral_allocation_for(problem, lp, objective)  # noqa: E731
-        master = None
-    else:
-        columns = support_cols
-        pricer = _CompiledPricer(
-            problem,
-            support_cols,
-            warm=pricing == "warm",
-            compiled_structure=compiled_structure,
-        )
-        price = pricer.price
-        master = _IncrementalMaster(pairs, r) if pricing == "warm" else None
-        if master is None:
-            master = _FastMaster(pairs, r)
+    columns = [col for col, _ in support]
+    price = price_for(columns)
 
     # Seed pool: the true-valuation allocation plus per-pair singletons
     # (every single (v, T) is feasible on its own), guaranteeing the master
@@ -509,15 +421,12 @@ def decompose_lp_solution(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        if master is None:
-            lam, mu, w = _solve_master(pool, pairs, r)
-        else:
-            lam, mu, w = master.solve(pool)
+        lam, mu, w = solve_master(pool, pairs, r)
         if mu <= 1.0 + tolerance:
             break
         # columns and pairs share the same order by construction
         objective = np.asarray(w, dtype=float).copy()
-        if pricing == "exact":
+        if exact:
             from repro.core.exact import solve_exact
 
             adjusted_cols = [

@@ -76,19 +76,9 @@ class TruthfulMechanism:
         structure,
         k: int,
         alpha: float | None = None,
-        pricing: str = "approx",
         compiled_structure=None,
     ) -> None:
-        """``pricing`` selects the decomposition oracle (see
-        :func:`~repro.mechanism.lavi_swamy.decompose_lp_solution`):
-        ``"approx"`` — the engine-compiled fast path, bit-identical to
-        ``"reference"`` (the seed-era pipeline, kept as the benchmark
-        baseline); ``"warm"`` — warm-started pricing, maximum throughput,
-        not vertex-pinned; ``"exact"`` — MILP pricing for small instances
-        at sub-gap α.  The reference mode also keeps the per-bidder
-        rebuild VCG loop, so it is the complete pre-fast-path pipeline.
-
-        ``compiled_structure`` injects an existing engine compilation of
+        """``compiled_structure`` injects an existing engine compilation of
         ``structure`` (the auction service passes its own cached one);
         ``None`` compiles through the engine's keyed cache."""
         from repro.engine import compile_structure
@@ -96,7 +86,6 @@ class TruthfulMechanism:
         self.structure = structure
         self.k = k
         self.alpha = alpha
-        self.pricing = pricing
         # the structure's engine compilation, held for the mechanism's
         # lifetime and passed to every run()'s solver — reuse survives
         # eviction from the engine's bounded cache
@@ -136,17 +125,10 @@ class TruthfulMechanism:
             solution,
             alpha=alpha,
             seed=rng,
-            pricing=self.pricing,
-            compiled_structure=(
-                None if self.pricing == "reference" else self._compiled_structure
-            ),
+            compiled_structure=self._compiled_structure,
         )
         vcg: FractionalVCG = vcg_payments(
-            problem,
-            solution,
-            alpha,
-            method="reference" if self.pricing == "reference" else "auto",
-            compiled_structure=self._compiled_structure,
+            problem, solution, alpha, compiled_structure=self._compiled_structure
         )
         return MechanismOutcome(
             decomposition=decomposition,

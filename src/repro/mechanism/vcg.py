@@ -13,48 +13,47 @@ are provably ≥ 0 for packing problems; the clip only guards numerics) and
 never exceed v's expected value (individual rationality), which tests
 verify.
 
-Two evaluation strategies for the n "LP without bidder v" terms:
+The n "LP without bidder v" terms are cost-zeroing probes restarted from
+the base LP's optimal basis.  Removing bidder v's columns changes the
+optimal *value* exactly as zeroing their objective coefficients does
+(zero-cost columns never help and never hurt a packing LP), so each probe is
+``changeColsCost(v's columns → 0)`` + a primal-simplex re-solve + a cost
+restore, instead of rebuilding an ``AuctionLP`` and cold-solving
+``linprog`` per bidder.  Changing costs keeps every basis primal
+feasible, so primal simplex restarts without a phase 1.
 
-* ``method="warm"`` (the default when the persistent HiGHS bindings are
-  available) — cost-zeroing probes restarted from the base LP's optimal
-  basis.  Removing bidder v's columns changes the optimal *value* exactly
-  as zeroing their objective coefficients does (zero-cost columns never
-  help and never hurt a packing LP), so each probe is
-  ``changeColsCost(v's columns → 0)`` + a primal-simplex re-solve + a cost
-  restore, instead of rebuilding an ``AuctionLP`` and cold-solving
-  ``linprog`` per bidder.  Changing costs keeps every basis primal
-  feasible, so primal simplex restarts without a phase 1.
+*Block/basis policy.*  The base LP is solved once and its optimal basis
+kept.  The probe list, in bidder order, is cut into fixed blocks of
+:data:`_PROBE_BLOCK`; each block starts from a clean solver
+(``clearSolver`` + ``setBasis(base)``) and chains its probes within the
+block.  Every payment is therefore a function of (model, base basis,
+block) only: it does not depend on the order the blocks run in, on how
+many threads run them, on the executor serving the request, or on the
+host's core count — the tests pin payments bit-exactly across widths
+and executors.  Optimal LP *values* are unique, so the floats differ
+from the cold reference path only within solver tolerance.
 
-  *Block/basis policy.*  The base LP is solved once and its optimal basis
-  kept.  The probe list, in bidder order, is cut into fixed blocks of
-  :data:`_PROBE_BLOCK`; each block starts from a clean solver
-  (``clearSolver`` + ``setBasis(base)``) and chains its probes within the
-  block.  Every payment is therefore a function of (model, base basis,
-  block) only: it does not depend on the order the blocks run in, on how
-  many threads run them, on the executor serving the request, or on the
-  host's core count — the tests pin payments bit-exactly across widths
-  and executors.  Optimal LP *values* are unique, so the floats differ
-  from the cold reference path only within solver tolerance.
+*Width.*  Blocks fan out over ``min(usable cores, blocks)`` HiGHS
+instances: the caller's thread plus a lazily created, persistent module
+thread pool (HiGHS ``run()`` releases the GIL).  Each helper loads the
+model into its own instance for the call and frees it when the call
+ends.  A process-pool worker counts ``max(1, cores // num_shards)`` as
+its usable cores, set once at worker start.  A probe with a non-optimal
+status raises ``RuntimeError`` naming its bidder, whichever thread ran
+it: the first failing block in block order wins and blocks not yet
+started are cancelled.
 
-  *Width.*  Blocks fan out over ``min(usable cores, blocks)`` HiGHS
-  instances: the caller's thread plus a lazily created, persistent module
-  thread pool (HiGHS ``run()`` releases the GIL).  Each helper loads the
-  model into its own instance for the call and frees it when the call
-  ends.  A process-pool worker counts ``max(1, cores // num_shards)`` as
-  its usable cores, set once at worker start.  A probe with a non-optimal
-  status raises ``RuntimeError`` naming its bidder, whichever thread ran
-  it: the first failing block in block order wins and blocks not yet
-  started are cancelled.
+Before probing, bidders are screened with the dual bound: dropping v
+keeps ``(y, z without z_v)`` feasible for the reduced dual, so
+``LPopt(without v) ≤ LPopt − z_v`` and the externality is at most
+``contribution_v − z_v`` — when that is ≤ 0 the payment is provably
+zero and the probe is skipped (typically a third of all bidders on the
+metro workloads).  ``lp_without`` records the dual upper bound for
+screened bidders.
 
-  Before probing, bidders are screened with the dual bound: dropping v
-  keeps ``(y, z without z_v)`` feasible for the reduced dual, so
-  ``LPopt(without v) ≤ LPopt − z_v`` and the externality is at most
-  ``contribution_v − z_v`` — when that is ≤ 0 the payment is provably
-  zero and the probe is skipped (typically a third of all bidders on the
-  metro workloads).  ``lp_without`` records the dual upper bound for
-  screened bidders.
-* ``method="reference"`` — the seed-era per-bidder rebuild, kept as the
-  benchmark baseline and binding-free fallback.
+:func:`reference_vcg_payments` is the seed-era per-bidder rebuild: the
+test oracle, and what :func:`vcg_payments` computes when the persistent
+HiGHS bindings are missing.
 """
 
 from __future__ import annotations
@@ -71,9 +70,7 @@ from repro.core.auction import AuctionProblem
 from repro.core.auction_lp import AuctionLP, AuctionLPSolution
 from repro.util.mp import register_fork_reset
 
-__all__ = ["FractionalVCG", "vcg_payments"]
-
-VCG_METHODS = ("auto", "warm", "reference")
+__all__ = ["FractionalVCG", "reference_vcg_payments", "vcg_payments"]
 
 # probes per block: the block cut decides which basis each probe restarts
 # from, and so the last bits of every payment — a constant, never tuned
@@ -246,7 +243,7 @@ def _warm_values_without(
     from repro.engine.highs import highs_core, new_highs_instance, pass_colwise_model
 
     core = highs_core()
-    if core is None:  # pragma: no cover - binding-dependent
+    if core is None:
         return None
     if not probe_vertices:  # everything screened: no model to build
         return {}
@@ -309,59 +306,30 @@ def _warm_values_without(
     return {v: float(value) for (v, _), value in zip(probes, values)}
 
 
-def vcg_payments(
-    problem: AuctionProblem,
-    solution: AuctionLPSolution,
-    alpha: float,
-    method: str = "auto",
-    compiled_structure=None,
-) -> FractionalVCG:
-    """Compute scaled fractional VCG payments for every bidder.
-
-    ``method="auto"`` uses the block-restarted probes when the persistent
-    HiGHS backend is available and the reference rebuild otherwise;
-    ``"warm"`` / ``"reference"`` force one path.  ``compiled_structure``
-    forwards an existing engine compilation to the warm path.
-    """
-    if method not in VCG_METHODS:
-        raise ValueError(f"method must be one of {VCG_METHODS}, got {method!r}")
-    n = problem.n
-    contributions = np.zeros(n)
+def _contributions(problem: AuctionProblem, solution: AuctionLPSolution) -> np.ndarray:
+    """Each bidder's share of the LP optimum."""
+    contributions = np.zeros(problem.n)
     for col, x in solution.support():
         contributions[col.vertex] += col.value * x
-    probes = [v for v in range(n) if contributions[v] > 0]
-    lp_without = np.full(n, float(solution.value))
-    payments = np.zeros(n)
+    return contributions
 
-    warm_values: dict[int, float] | None = None
-    screened: set[int] = set()
-    if method in ("auto", "warm"):
-        # dual screening: externality ≤ contribution_v − z_v, so bidders at
-        # or below zero provably pay nothing — skip the solve, record the
-        # dual bound in lp_without
-        screened = {
-            v for v in probes if contributions[v] - float(solution.z[v]) <= 1e-9
-        }
-        to_probe = [v for v in probes if v not in screened]
-        warm_values = _warm_values_without(
-            problem, solution, to_probe, compiled_structure=compiled_structure
-        )
-        if warm_values is None and method == "warm":  # pragma: no cover
-            raise RuntimeError(
-                "persistent HiGHS backend unavailable; use method='reference'"
-            )
-    if warm_values is None:
-        screened = set()
-        lp = AuctionLP(problem, columns=list(solution.columns))
-        warm_values = {v: _lp_value_without(problem, lp, v) for v in probes}
 
-    for v in probes:
-        if v in screened:
-            lp_without[v] = float(solution.value) - float(solution.z[v])
-            payments[v] = 0.0  # provably zero: externality ≤ contribution − z_v
-            continue
-        lp_without[v] = warm_values[v]
-        externality = lp_without[v] - (solution.value - contributions[v])
+def _payments(
+    solution: AuctionLPSolution,
+    alpha: float,
+    contributions: np.ndarray,
+    values_without: dict[int, float],
+    screened: set[int],
+) -> FractionalVCG:
+    """Scaled payments from the "LP without v" optima of the probed bidders
+    (``screened`` ones pay zero and record the dual bound)."""
+    lp_without = np.full(contributions.size, float(solution.value))
+    payments = np.zeros(contributions.size)
+    for v in screened:
+        lp_without[v] = float(solution.value) - float(solution.z[v])
+    for v, value in values_without.items():
+        lp_without[v] = value
+        externality = value - (solution.value - contributions[v])
         payments[v] = max(0.0, externality) / alpha
     return FractionalVCG(
         payments=payments,
@@ -369,3 +337,48 @@ def vcg_payments(
         lp_without=lp_without,
         contributions=contributions,
     )
+
+
+def vcg_payments(
+    problem: AuctionProblem,
+    solution: AuctionLPSolution,
+    alpha: float,
+    compiled_structure=None,
+) -> FractionalVCG:
+    """Compute scaled fractional VCG payments for every bidder.
+
+    Screens bidders with the dual bound and evaluates the rest with the
+    block-restarted probes; ``compiled_structure`` forwards an existing
+    engine compilation.  Without the persistent HiGHS bindings this is
+    :func:`reference_vcg_payments`.
+    """
+    contributions = _contributions(problem, solution)
+    probes = [v for v in range(problem.n) if contributions[v] > 0]
+    # dual screening: externality ≤ contribution_v − z_v, so bidders at or
+    # below zero provably pay nothing — skip the solve, record the dual
+    # bound in lp_without
+    screened = {v for v in probes if contributions[v] - float(solution.z[v]) <= 1e-9}
+    values = _warm_values_without(
+        problem,
+        solution,
+        [v for v in probes if v not in screened],
+        compiled_structure=compiled_structure,
+    )
+    if values is None:
+        return reference_vcg_payments(problem, solution, alpha)
+    return _payments(solution, alpha, contributions, values, screened)
+
+
+def reference_vcg_payments(
+    problem: AuctionProblem, solution: AuctionLPSolution, alpha: float
+) -> FractionalVCG:
+    """The seed-era payments: one fresh ``AuctionLP`` solve per bidder with
+    a positive LP share, no screening — the test oracle."""
+    contributions = _contributions(problem, solution)
+    lp = AuctionLP(problem, columns=list(solution.columns))
+    values = {
+        v: _lp_value_without(problem, lp, v)
+        for v in range(problem.n)
+        if contributions[v] > 0
+    }
+    return _payments(solution, alpha, contributions, values, set())

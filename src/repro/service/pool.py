@@ -102,7 +102,7 @@ def _pool_worker_main(  # pragma: no cover - runs in worker processes
     """Entry point of one worker process.
 
     ``scenes`` is the registry snapshot taken at spawn; ``config`` holds
-    the cache/pricing configuration of the parent service so the worker's
+    the cache/rounding configuration of the parent service so the worker's
     private :class:`AuctionService` solves exactly as the in-process path
     would — including an armed copy of the parent's
     :class:`~repro.service.faults.FaultPlan`, whose worker sites
@@ -241,7 +241,7 @@ class ProcessShardPool:
     ``registry`` is shared with the owning service: scenes are snapshotted
     into workers at spawn and shipped lazily afterwards.  ``worker_config``
     is forwarded to each worker's private ``AuctionService`` (cache sizes,
-    pricing, rounding attempts, warm-start flag), so the pool solves with
+    rounding attempts, warm-start flag), so the pool solves with
     exactly the configuration of the in-process path.
     """
 

@@ -108,6 +108,10 @@ class _Pending:
 class AuctionService:
     """Long-lived auction server over :class:`BatchAuctionEngine`."""
 
+    # the decomposition's pricing oracle, as :func:`decompose_lp_solution`
+    # names it — read by tools that replay truthful requests stage by stage
+    mechanism_pricing = "approx"
+
     def __init__(
         self,
         *,
@@ -119,7 +123,6 @@ class AuctionService:
         structure_cache_size: int = 32,
         problem_cache_size: int = 256,
         mechanism_cache_size: int = 64,
-        mechanism_pricing: str = "approx",
         rounding_attempts: int = 1,
         lp_warm_start: bool = False,
         adaptive_coalescing: bool = True,
@@ -135,18 +138,17 @@ class AuctionService:
         """``mechanism_cache_size`` bounds the LRU of prepared truthful
         outcomes (decomposition + payments) keyed by
         ``(scene_id, k, profile_key)``; 0 disables it — every truthful
-        request then recomputes its decomposition, the benchmark's
-        baseline.  ``mechanism_pricing`` forwards the decomposition's
-        pricing mode.  ``adaptive_coalescing`` lets the service skip the
-        batching window when it cannot pay off — caches disabled, or a
-        distinct-heavy request stream (see :meth:`_bypass_window`).
+        request then recomputes its decomposition.  ``adaptive_coalescing``
+        lets the service skip the batching window when it cannot pay off —
+        caches disabled, or a distinct-heavy request stream (see
+        :meth:`_bypass_window`).
 
         With ``executor="process"``, ``num_shards`` is the worker-process
         count, ``mp_start_method`` picks how workers are started
         (``"auto"`` → forkserver where available, else spawn; see
         :mod:`repro.util.mp`), and ``worker_retries`` bounds how often a
         batch whose worker crashed is retried on the respawned worker
-        before its futures fail.  The cache sizes and pricing/rounding
+        before its futures fail.  The cache sizes and rounding
         options configure each *worker's* caches — the parent-side caches
         stay idle, since compilation happens where the solving does.
         ``pool_config`` forwards extra keyword arguments to
@@ -170,8 +172,6 @@ class AuctionService:
             raise ValueError("need at least one shard")
         if coalesce_window < 0 or max_batch < 1:
             raise ValueError("coalesce_window must be >= 0 and max_batch >= 1")
-        if mechanism_pricing not in ("approx", "warm", "reference"):
-            raise ValueError(f"unknown mechanism pricing {mechanism_pricing!r}")
         if worker_retries < 0:
             raise ValueError("worker_retries must be non-negative")
         if max_queue is not None and max_queue < 1:
@@ -192,7 +192,6 @@ class AuctionService:
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.adaptive_coalescing = adaptive_coalescing
-        self.mechanism_pricing = mechanism_pricing
         self.metrics = metrics or ServiceMetrics()
         self.structure_cache = LRUCache(structure_cache_size, name="structures")
         self.problem_cache = LRUCache(problem_cache_size, name="problems")
@@ -264,10 +263,7 @@ class AuctionService:
 
         def build() -> MechanismOutcome:
             mechanism = TruthfulMechanism(
-                structure,
-                request.k,
-                pricing=self.mechanism_pricing,
-                compiled_structure=compiled_structure,
+                structure, request.k, compiled_structure=compiled_structure
             )
             return mechanism.prepare(list(request.valuations), seed=0)
 
@@ -481,7 +477,6 @@ class AuctionService:
             "structure_cache_size": self.structure_cache.capacity,
             "problem_cache_size": self.problem_cache.capacity,
             "mechanism_cache_size": self.mechanism_cache.capacity,
-            "mechanism_pricing": self.mechanism_pricing,
             "rounding_attempts": self.engine.solve_kwargs["rounding_attempts"],
             "lp_warm_start": self.engine.solve_kwargs["lp_warm_start"],
             "fault_plan": self.fault_plan,
@@ -857,7 +852,6 @@ class AuctionService:
             "structure_cache_capacity": self.structure_cache.capacity,
             "problem_cache_capacity": self.problem_cache.capacity,
             "mechanism_cache_capacity": self.mechanism_cache.capacity,
-            "mechanism_pricing": self.mechanism_pricing,
             "adaptive_coalescing": self.adaptive_coalescing,
             "lp_warm_start": self.engine.solve_kwargs["lp_warm_start"],
             "mp_start_method": self.mp_start_method,

@@ -21,15 +21,18 @@ __all__ = [
 ]
 
 
+def _per_channel_values(per_channel: np.ndarray) -> np.ndarray:
+    v = np.asarray(per_channel, dtype=float)
+    if v.ndim != 1 or not np.isfinite(v).all() or (v < 0).any():
+        raise ValueError("per-channel values must be a finite non-negative vector")
+    return v
+
+
 class AdditiveValuation(Valuation):
     """``value(T) = Σ_{j∈T} v_j``; demand takes every channel worth its price."""
 
     def __init__(self, per_channel: np.ndarray) -> None:
-        v = np.asarray(per_channel, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("per-channel values must be a vector")
-        if (v < 0).any():
-            raise ValueError("per-channel values must be non-negative")
+        v = _per_channel_values(per_channel)
         super().__init__(v.shape[0])
         self.per_channel = v
 
@@ -51,9 +54,7 @@ class UnitDemandValuation(Valuation):
     """``value(T) = max_{j∈T} v_j``; demand is the best single channel."""
 
     def __init__(self, per_channel: np.ndarray) -> None:
-        v = np.asarray(per_channel, dtype=float)
-        if v.ndim != 1 or (v < 0).any():
-            raise ValueError("per-channel values must be a non-negative vector")
+        v = _per_channel_values(per_channel)
         super().__init__(v.shape[0])
         self.per_channel = v
 
@@ -82,9 +83,7 @@ class CappedAdditiveValuation(Valuation):
     """
 
     def __init__(self, per_channel: np.ndarray, cap: int) -> None:
-        v = np.asarray(per_channel, dtype=float)
-        if v.ndim != 1 or (v < 0).any():
-            raise ValueError("per-channel values must be a non-negative vector")
+        v = _per_channel_values(per_channel)
         if cap < 1:
             raise ValueError("cap must be at least 1")
         super().__init__(v.shape[0])
@@ -121,9 +120,7 @@ class BudgetedAdditiveValuation(Valuation):
     """
 
     def __init__(self, per_channel: np.ndarray, budget: float, brute_force_limit: int = 16) -> None:
-        v = np.asarray(per_channel, dtype=float)
-        if v.ndim != 1 or (v < 0).any():
-            raise ValueError("per-channel values must be a non-negative vector")
+        v = _per_channel_values(per_channel)
         if budget <= 0:
             raise ValueError("budget must be positive")
         super().__init__(v.shape[0])

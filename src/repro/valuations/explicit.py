@@ -14,6 +14,7 @@ expose their bid list via :meth:`support` so the LP can enumerate columns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -42,8 +43,8 @@ def _normalize_bids(bids: Mapping[frozenset[int], float], k: int) -> dict[frozen
         fs = frozenset(bundle)
         if any(not 0 <= j < k for j in fs):
             raise ValueError(f"bundle {sorted(fs)} out of range for k={k}")
-        if value < 0:
-            raise ValueError("bid values must be non-negative")
+        if not 0 <= value < math.inf:  # also rejects NaN
+            raise ValueError("bid values must be finite and non-negative")
         if not fs:
             if value != 0:
                 raise ValueError("the empty bundle must have value 0")

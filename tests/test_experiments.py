@@ -90,6 +90,10 @@ class TestExperimentContracts:
         out = run_e8(n=8, k=2, misreports=2, seed=5)
         assert out.summary["mass_error"] <= 1e-7
         assert out.summary["max_misreport_gain"] <= 1e-6
+        # the mechanism against the seed-era oracles on the same instance
+        assert out.summary["marginals_identical"]
+        assert out.summary["pool_identical"]
+        assert out.summary["payment_parity_gap"] <= 1e-6
 
     def test_e9_bounds(self):
         out = run_e9(n=12, d=4, ks=(1, 2), reps=10, seed=6)

@@ -259,6 +259,19 @@ class TestErrorStatuses:
         assert status == 400
         assert payload["error_code"] == "bad-request"
 
+    @pytest.mark.parametrize("bid", ["nan", "inf"])
+    def test_non_finite_bid_is_400_and_never_solved(self, scene, bid):
+        service = AuctionService(executor="serial", coalesce_window=0.0)
+        scene_id = service.register_scene(scene)
+        wire = request_to_wire(make_request(scene_id))
+        wire["valuations"][0]["bids"][0][1] = bid
+        with GatewayServer(service) as server:
+            status, payload = http_request(server, "POST", "/v1/solve", wire)
+        service.close()
+        assert status == 400
+        assert payload["error_code"] == "bad-request"
+        assert service.metrics_snapshot()["requests_submitted"] == 0
+
 
 class TestSizeCaps:
     """Oversized requests produce typed 413/431 wire errors over raw

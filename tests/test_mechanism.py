@@ -224,3 +224,30 @@ class TestTruthfulMechanism:
         lied[bidder] = exaggerated
         out = mech.run(lied, seed=13, sample=False)
         assert u_truth >= out.expected_utility(bidder, true_val) - 1e-6
+
+
+class TestTruthfulnessAtServiceScale:
+    """Bid-scaling misreports on an n=300 metro scene, the size the service
+    benchmarks run: no bidder gains expected utility by scaling its bids."""
+
+    def test_scaled_misreports_never_gain(self):
+        from repro.experiments.workloads import metro_truthful_auction
+
+        problem = metro_truthful_auction(300, 4, seed=1600)
+        mech = TruthfulMechanism(problem.structure, problem.k)
+        truth = mech.prepare(problem.valuations, seed=0)
+        has_share = {v for (v, _), mass in truth.decomposition.target.items() if mass > 0}
+        winners = sorted(has_share)[:3]
+        loser = min(v for v in range(problem.n) if v not in has_share)
+        max_gain = -np.inf
+        for bidder in (*winners, loser):
+            true_val = problem.valuations[bidder]
+            u_truth = truth.expected_utility(bidder, true_val)
+            for factor in (0.5, 1.5, 3.0):
+                lied = list(problem.valuations)
+                lied[bidder] = XORValuation(
+                    problem.k, {b: x * factor for b, x in true_val.bids.items()}
+                )
+                out = mech.prepare(lied, seed=0)
+                max_gain = max(max_gain, out.expected_utility(bidder, true_val) - u_truth)
+        assert max_gain <= 1e-6

@@ -1,13 +1,13 @@
 """Reference-vs-compiled parity of the truthful-mechanism fast path (PR 5).
 
-The compiled decomposition (``pricing="approx"``) must publish the *same*
-distribution as the seed-era pipeline (``pricing="reference"``): the
-exact-marginal guarantee  E[𝟙(v gets T)] = x*_{v,T}/α  holds on both, and
-the pool, convex weights, keep probabilities — and therefore the sampled
-allocations for fixed seeds — are bit-identical across disk, protocol,
-weighted (physical), and distance-2 conflict models.  The ``"warm"``
-profile is exempt from bit-parity by design (warm-started solves are not
-vertex-pinned) but must keep the exact-marginal guarantee.
+The compiled decomposition (:func:`decompose_lp_solution`) must publish
+the *same* distribution as the seed-era pipeline
+(:func:`reference_decomposition`): the exact-marginal guarantee
+E[𝟙(v gets T)] = x*_{v,T}/α  holds on both, and the pool, convex weights,
+keep probabilities — and therefore the sampled allocations for fixed
+seeds — are bit-identical across disk, protocol, weighted (physical), and
+distance-2 conflict models.  The same holds when the private HiGHS
+bindings are missing and every solve falls back to ``linprog``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,13 @@ from repro.geometry.links import random_links
 from repro.interference.disk import disk_transmitter_model, distance2_coloring_model
 from repro.interference.physical import linear_power, physical_model_structure
 from repro.interference.protocol import protocol_model
-from repro.mechanism.lavi_swamy import decompose_lp_solution
+from repro.mechanism.lavi_swamy import (
+    decompose_lp_solution,
+    default_alpha,
+    reference_decomposition,
+)
 from repro.mechanism.truthful import TruthfulMechanism
+from repro.mechanism.vcg import reference_vcg_payments, vcg_payments
 from repro.valuations.generators import random_xor_valuations
 
 MODELS = ["disk", "protocol", "physical", "distance2"]
@@ -54,10 +59,8 @@ def build_problem(model: str) -> AuctionProblem:
 def case(request):
     problem = build_problem(request.param)
     solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
-    reference = decompose_lp_solution(
-        problem, solution, seed=5, pricing="reference"
-    )
-    compiled = decompose_lp_solution(problem, solution, seed=5, pricing="approx")
+    reference = reference_decomposition(problem, solution, seed=5)
+    compiled = decompose_lp_solution(problem, solution, seed=5)
     return problem, solution, reference, compiled
 
 
@@ -95,15 +98,6 @@ class TestExactMarginalGuarantee:
             for pair, target in dec.target.items():
                 assert mass[pair] == pytest.approx(target, abs=1e-9)
 
-    def test_warm_profile_keeps_guarantee(self, case):
-        problem, solution, _, _ = case
-        warm = decompose_lp_solution(problem, solution, seed=5, pricing="warm")
-        mass = warm.pair_mass()
-        for pair, target in warm.target.items():
-            assert mass[pair] == pytest.approx(target, abs=1e-7)
-        for alloc in warm.allocations:
-            assert problem.is_feasible(alloc)
-
 
 class TestForcedPricingIterations:
     """Sub-gap α forces the pricing loop to run; parity must survive it."""
@@ -115,12 +109,8 @@ class TestForcedPricingIterations:
         problem = metro_disk_auction(80, 4, seed=11)
         solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
         alpha = problem.approximation_bound() * 0.25
-        reference = decompose_lp_solution(
-            problem, solution, alpha=alpha, seed=5, pricing="reference"
-        )
-        compiled = decompose_lp_solution(
-            problem, solution, alpha=alpha, seed=5, pricing="approx"
-        )
+        reference = reference_decomposition(problem, solution, alpha=alpha, seed=5)
+        compiled = decompose_lp_solution(problem, solution, alpha=alpha, seed=5)
         return reference, compiled
 
     def test_pricing_actually_iterated(self, tight_case):
@@ -134,42 +124,69 @@ class TestForcedPricingIterations:
         assert reference.keep_probability == compiled.keep_probability
 
 
+class TestBindingsOff:
+    """Without the private HiGHS bindings every solve falls back to
+    ``linprog``: decompositions stay bit-identical and payments agree."""
+
+    @pytest.fixture(params=["disk", "physical", "sub-gap"])
+    def bound(self, request):
+        if request.param == "sub-gap":
+            from repro.experiments.workloads import metro_disk_auction
+
+            problem = metro_disk_auction(80, 4, seed=11)
+            alpha = problem.approximation_bound() * 0.25
+        else:
+            problem = build_problem(request.param)
+            alpha = default_alpha(problem)
+        solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
+        decomposition = decompose_lp_solution(problem, solution, alpha=alpha, seed=5)
+        payments = vcg_payments(problem, solution, alpha)
+        return problem, solution, alpha, decomposition, payments
+
+    def test_fallback_matches_bound_path_and_oracle(self, monkeypatch, bound):
+        import repro.engine.highs as highs_backend
+
+        problem, solution, alpha, expected, expected_vcg = bound
+        monkeypatch.setattr(highs_backend, "_hcore", None)
+        fallback = decompose_lp_solution(problem, solution, alpha=alpha, seed=5)
+        reference = reference_decomposition(problem, solution, alpha=alpha, seed=5)
+        for dec in (fallback, reference):
+            assert dec.iterations == expected.iterations
+            assert dec.allocations == expected.allocations
+            assert np.array_equal(dec.weights, expected.weights)
+            assert dec.keep_probability == expected.keep_probability
+        fallback_vcg = vcg_payments(problem, solution, alpha)
+        np.testing.assert_allclose(
+            fallback_vcg.payments, expected_vcg.payments, atol=1e-6
+        )
+
+
 class TestMechanismEndToEnd:
     def test_fast_and_reference_outcomes_agree(self):
         problem = build_problem("protocol")
-        fast = TruthfulMechanism(problem.structure, problem.k)
-        slow = TruthfulMechanism(
-            problem.structure, problem.k, pricing="reference"
+        out_fast = TruthfulMechanism(problem.structure, problem.k).run(
+            problem.valuations, seed=17
         )
-        out_fast = fast.run(problem.valuations, seed=17)
-        out_slow = slow.run(problem.valuations, seed=17)
-        assert out_fast.sampled_allocation == out_slow.sampled_allocation
-        assert out_fast.decomposition.target == out_slow.decomposition.target
-        np.testing.assert_allclose(
-            out_fast.payments, out_slow.payments, atol=1e-6
-        )
+        # the seed-era pipeline: explicit LP, reference oracles, then a
+        # sample from the same generator the mechanism hands through
+        solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
+        rng = np.random.default_rng(17)
+        dec = reference_decomposition(problem, solution, seed=rng)
+        payments = reference_vcg_payments(problem, solution, dec.alpha).payments
+        assert out_fast.sampled_allocation == dec.sample(rng)
+        assert out_fast.decomposition.target == dec.target
+        np.testing.assert_allclose(out_fast.payments, payments, atol=1e-6)
 
     def test_warm_vcg_matches_reference_values(self):
-        from repro.mechanism.lavi_swamy import default_alpha
-        from repro.mechanism.vcg import vcg_payments
-
         problem = build_problem("disk")
         solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
         alpha = default_alpha(problem)
-        warm = vcg_payments(problem, solution, alpha, method="warm")
-        reference = vcg_payments(problem, solution, alpha, method="reference")
+        warm = vcg_payments(problem, solution, alpha)
+        reference = reference_vcg_payments(problem, solution, alpha)
         np.testing.assert_allclose(warm.payments, reference.payments, atol=1e-6)
         np.testing.assert_allclose(
             warm.contributions, reference.contributions, atol=1e-9
         )
-
-    def test_invalid_vcg_method_rejected(self):
-        from repro.mechanism.vcg import vcg_payments
-
-        problem = build_problem("disk")
-        solution = SpectrumAuctionSolver(problem).solve_lp("explicit")
-        with pytest.raises(ValueError):
-            vcg_payments(problem, solution, 2.0, method="telepathy")
 
     def test_prepare_is_deterministic_and_run_samples_it(self):
         problem = build_problem("disk")

@@ -505,10 +505,6 @@ class TestTruthfulRequests:
         assert service._bypass_window(allocate) is False
         assert service._bypass_window() is False  # headless: conservative
 
-    def test_invalid_mechanism_pricing_rejected(self):
-        with pytest.raises(ValueError):
-            AuctionService(mechanism_pricing="psychic")
-
     def test_trace_mode_round_trips_through_json(self, scene, tmp_path):
         service = make_service(scene)
         trace = self._trace(service, num_requests=3)

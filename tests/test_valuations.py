@@ -47,6 +47,13 @@ class TestExplicit:
         with pytest.raises(ValueError):
             ExplicitValuation(2, {frozenset({0}): -1.0})
 
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf")])
+    def test_non_finite_bid_rejected(self, bid):
+        with pytest.raises(ValueError):
+            ExplicitValuation(2, {frozenset({0}): bid})
+        with pytest.raises(ValueError):
+            XORValuation(2, {frozenset({0}): bid})
+
     def test_out_of_range_bundle(self):
         with pytest.raises(ValueError):
             ExplicitValuation(2, {frozenset({5}): 1.0})
@@ -134,6 +141,18 @@ class TestAdditiveFamilies:
             CappedAdditiveValuation(np.array([1.0]), cap=0)
         with pytest.raises(ValueError):
             BudgetedAdditiveValuation(np.array([1.0]), budget=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_per_channel_rejected(self, bad):
+        values = np.array([1.0, bad])
+        for make in (
+            AdditiveValuation,
+            UnitDemandValuation,
+            lambda v: CappedAdditiveValuation(v, cap=1),
+            lambda v: BudgetedAdditiveValuation(v, budget=2.0),
+        ):
+            with pytest.raises(ValueError):
+                make(values)
 
     def test_max_values(self):
         assert AdditiveValuation(np.array([1.0, 2.0])).max_value() == 3.0

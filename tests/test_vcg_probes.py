@@ -44,7 +44,7 @@ def probed_bidders(solution, contributions):
 
 def payments_at_width(monkeypatch, instance, width):
     monkeypatch.setattr(vcg, "_probe_width", lambda: width)
-    return vcg.vcg_payments(*instance, method="warm")
+    return vcg.vcg_payments(*instance)
 
 
 def test_payments_bit_identical_across_widths_and_match_reference(
@@ -57,7 +57,7 @@ def test_payments_bit_identical_across_widths_and_match_reference(
     for run in runs[1:]:
         assert np.array_equal(run.payments, runs[0].payments)
         assert np.array_equal(run.lp_without, runs[0].lp_without)
-    reference = vcg.vcg_payments(problem, solution, alpha, method="reference")
+    reference = vcg.reference_vcg_payments(problem, solution, alpha)
     np.testing.assert_allclose(runs[0].payments, reference.payments, atol=1e-6)
     np.testing.assert_allclose(
         runs[0].lp_without[probed], reference.lp_without[probed], atol=1e-6
@@ -113,14 +113,14 @@ def test_failing_probe_raises_first_block_in_order(monkeypatch, instance, width)
     monkeypatch.setattr(highs_backend, "new_highs_instance", failing_instance)
     message = f"VCG probe for bidder {first} failed: "
     with pytest.raises(RuntimeError, match=message) as excinfo:
-        vcg.vcg_payments(problem, solution, alpha, method="warm")
+        vcg.vcg_payments(problem, solution, alpha)
     assert "Infeasible" in str(excinfo.value)
     del excinfo
     gc.collect()
     assert 1 <= len(created) <= width
     assert all(ref() is None for ref in created)  # every instance freed
     monkeypatch.setattr(highs_backend, "new_highs_instance", real_new)
-    again = vcg.vcg_payments(problem, solution, alpha, method="warm")
+    again = vcg.vcg_payments(problem, solution, alpha)
     assert np.array_equal(again.payments, expected.payments)
 
 
